@@ -33,10 +33,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rcm_core::{
-    algebraic_rcm_directed, bfs_level_structure, dist_rcm, ordering_bandwidth, ordering_profile,
-    ordering_wavefront, par_rcm, par_rcm_directed, pseudo_peripheral, rcm, rcm_compressed,
-    rcm_globalsort, rcm_nosort, rcm_with_backend, sloan, BackendKind, DistRcmConfig,
-    ExpandDirection, SortMode, StartNode,
+    bfs_level_structure, ordering_bandwidth, ordering_profile, ordering_wavefront,
+    pseudo_peripheral, rcm, rcm_compressed, rcm_globalsort, rcm_nosort, sloan, BackendKind,
+    DistRcmConfig, DistRcmResult, EngineConfig, ExpandDirection, OrderingEngine, OrderingReport,
+    SortMode, StartNode,
 };
 use rcm_dist::{
     Breakdown, DistCscMatrix, MachineModel, Phase, PAPER_FLAT_CORES, PAPER_HYBRID_CORES,
@@ -162,6 +162,42 @@ pub fn fig3_suite_table(cfg: &ExpConfig) -> Table {
 }
 
 // ---------------------------------------------------------------------------
+// Engine helpers shared by the experiments
+// ---------------------------------------------------------------------------
+
+/// The permutation of `a` from a fresh single-use engine on `kind` — the
+/// per-matrix reference the bit-equality columns compare against.
+fn fresh_perm(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::with_backend(kind).order(a).perm
+}
+
+/// One ordering of `a` on a fresh engine, with its wall seconds: engine
+/// construction (the pooled backend's worker spawn included) plus the
+/// report's install + drive + extract time. The report's bandwidth passes
+/// stay outside the timed region.
+fn timed_fresh_order(config: EngineConfig, a: &CscMatrix) -> (f64, OrderingReport) {
+    let t0 = Instant::now();
+    let mut engine = OrderingEngine::new(config);
+    let construct = t0.elapsed().as_secs_f64();
+    let report = engine.order(a);
+    (construct + report.wall_seconds, report)
+}
+
+/// The simulated run of `a` on a fresh engine under `dist`, with the
+/// engine's direction and start node taken from `dist` as well.
+fn simulate(a: &CscMatrix, dist: DistRcmConfig) -> DistRcmResult {
+    let config = EngineConfig::builder()
+        .direction(dist.direction)
+        .start_node(dist.start_node)
+        .dist(dist)
+        .build();
+    let report = OrderingEngine::new(config).order(a);
+    report
+        .sim
+        .expect("dist/hybrid orderings carry a simulated result")
+}
+
+// ---------------------------------------------------------------------------
 // Table II — shared-memory baseline vs distributed runtime
 // ---------------------------------------------------------------------------
 
@@ -181,17 +217,15 @@ pub fn table2_shared_memory(cfg: &ExpConfig) -> Table {
         let a = cfg.generate(&m);
         let mut cells = vec![m.name.to_string()];
         // Quality: all implementations are ordering-identical; report once.
-        let (perm, _) = par_rcm(&a, 1);
+        let perm = fresh_perm(&a, BackendKind::Pooled { threads: 1 });
         cells.push(fmt_count(ordering_bandwidth(&a, &perm) as u64));
         for &th in &threads {
-            let t0 = Instant::now();
-            let (p, _) = par_rcm(&a, th);
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(p.len(), a.n_rows());
+            let (dt, report) = timed_fresh_order(EngineConfig::builder().threads(th).build(), &a);
+            assert_eq!(report.perm.len(), a.n_rows());
             cells.push(fmt_secs(dt));
         }
         for cores in [1usize, 6, 24] {
-            let r = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(cores));
+            let r = simulate(&a, DistRcmConfig::hybrid_on_edison(cores));
             cells.push(fmt_secs(r.sim_seconds));
         }
         t.row(cells);
@@ -206,8 +240,10 @@ pub fn table2_shared_memory(cfg: &ExpConfig) -> Table {
 /// Thread counts of the shared-memory strong-scaling sweep.
 pub const SCALING_THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Strong scaling of the work-stealing shared-memory backend: `par_rcm`
-/// wall time at 1/2/4/8/16 threads plus speedups over one thread.
+/// Strong scaling of the work-stealing shared-memory backend: the wall
+/// time of one ordering on a fresh pooled engine (worker spawn included,
+/// quality metrics excluded) at 1/2/4/8/16 threads plus speedups over one
+/// thread.
 ///
 /// Outside quick mode each instance is grown until it crosses the Table II
 /// floor of 100k vertices (capped by an nnz budget), so the sweep exercises
@@ -222,7 +258,7 @@ pub fn shared_scaling(cfg: &ExpConfig) -> Table {
     };
     let reps = if cfg.quick { 1 } else { 3 };
     let mut t = Table::new(
-        "Shared-memory strong scaling — par_rcm (measured on this host)",
+        "Shared-memory strong scaling — pooled backend (measured on this host)",
         &[
             "matrix", "vertices", "edges", "t(1t)", "t(2t)", "t(4t)", "t(8t)", "t(16t)", "su(2t)",
             "su(4t)", "su(8t)", "su(16t)",
@@ -242,10 +278,10 @@ pub fn shared_scaling(cfg: &ExpConfig) -> Table {
         for &threads in &SCALING_THREADS {
             let mut best = f64::INFINITY;
             for _ in 0..reps {
-                let t0 = Instant::now();
-                let (p, _) = par_rcm(&a, threads);
-                best = best.min(t0.elapsed().as_secs_f64());
-                assert_eq!(p.len(), a.n_rows());
+                let config = EngineConfig::builder().threads(threads).build();
+                let (dt, report) = timed_fresh_order(config, &a);
+                best = best.min(dt);
+                assert_eq!(report.perm.len(), a.n_rows());
             }
             times.push(best);
         }
@@ -286,7 +322,7 @@ pub fn run_hybrid_sweep(cfg: &ExpConfig) -> Vec<SweepPanel> {
         for cores in cfg.hybrid_cores() {
             let mut c = DistRcmConfig::hybrid_on_edison(cores);
             c.balance_seed = Some(0xBA1A);
-            let r = dist_rcm(&a, &c);
+            let r = simulate(&a, c);
             points.push((cores, r.breakdown.clone(), r.sim_seconds));
         }
         panels.push(SweepPanel {
@@ -380,7 +416,7 @@ pub fn fig6_flat_vs_hybrid(cfg: &ExpConfig) -> Table {
     for cores in cfg.flat_cores() {
         let mut flat_cfg = DistRcmConfig::flat_on_edison(cores);
         flat_cfg.balance_seed = Some(0xBA1A);
-        let flat = dist_rcm(&a, &flat_cfg);
+        let flat = simulate(&a, flat_cfg);
         // Nearest hybrid configuration with the same core budget: 6
         // threads/process needs cores divisible into a square process count;
         // reuse the paper pairing (4096 flat vs 4056 hybrid etc.).
@@ -391,7 +427,7 @@ pub fn fig6_flat_vs_hybrid(cfg: &ExpConfig) -> Table {
             .unwrap();
         let mut hybrid_cfg = DistRcmConfig::hybrid_on_edison(hybrid_cores);
         hybrid_cfg.balance_seed = Some(0xBA1A);
-        let hybrid = dist_rcm(&a, &hybrid_cfg);
+        let hybrid = simulate(&a, hybrid_cfg);
         let mut row = vec![cores.to_string()];
         for ph in Phase::ALL {
             row.push(fmt_secs(flat.breakdown.get(ph).total()));
@@ -514,7 +550,7 @@ pub fn ablation_sort_modes(cfg: &ExpConfig) -> Table {
             for &cores in &core_counts {
                 let mut c = DistRcmConfig::hybrid_on_edison(cores);
                 c.sort_mode = mode;
-                let r = dist_rcm(&a, &c);
+                let r = simulate(&a, c);
                 bw = ordering_bandwidth(&a, &r.perm);
                 times.push(fmt_secs(r.sim_seconds));
             }
@@ -594,25 +630,23 @@ pub fn direction_ablation(cfg: &ExpConfig) -> Table {
         ],
     );
     for (name, a) in &inputs {
-        let reference = algebraic_rcm_directed(a, ExpandDirection::Push).0;
+        let push = EngineConfig::builder().direction(ExpandDirection::Push);
+        let reference = OrderingEngine::new(push.build()).order(a).perm;
         // Measured backends: serial and the 4-thread pool.
-        for (backend, threads) in [("serial", 1usize), ("pooled", 4)] {
+        for (backend, kind) in [
+            ("serial", BackendKind::Serial),
+            ("pooled", BackendKind::Pooled { threads: 4 }),
+        ] {
             let mut times = Vec::new();
             let mut pull_levels = 0usize;
             let mut identical = true;
             for d in DIRECTIONS {
-                let t0 = Instant::now();
-                let (perm, pulls) = if backend == "serial" {
-                    let (perm, s) = algebraic_rcm_directed(a, d);
-                    (perm, s.pull_expands)
-                } else {
-                    let (perm, s) = par_rcm_directed(a, threads, d);
-                    (perm, s.pull_expands)
-                };
-                times.push(fmt_secs(t0.elapsed().as_secs_f64()));
-                identical &= perm == reference;
+                let config = EngineConfig::builder().backend(kind).direction(d).build();
+                let (dt, report) = timed_fresh_order(config, a);
+                times.push(fmt_secs(dt));
+                identical &= report.perm == reference;
                 if d == ExpandDirection::Adaptive {
-                    pull_levels = pulls;
+                    pull_levels = report.stats.pull_expands;
                 }
             }
             t.row(vec![
@@ -638,7 +672,7 @@ pub fn direction_ablation(cfg: &ExpConfig) -> Table {
             for d in DIRECTIONS {
                 let mut dcfg = base;
                 dcfg.direction = d;
-                let r = dist_rcm(a, &dcfg);
+                let r = simulate(a, dcfg);
                 times.push(fmt_secs(r.sim_seconds));
                 identical &= r.perm == reference;
                 if d == ExpandDirection::Adaptive {
@@ -673,15 +707,14 @@ pub struct ThroughputRow {
     pub backend: &'static str,
     /// Matrices in the stream (the class at several scales).
     pub batch_size: usize,
-    /// Orderings/second with a fresh engine constructed per call (what
-    /// every per-call entry point pays).
+    /// Orderings/second with a fresh engine constructed per call.
     pub cold_ops: f64,
     /// Orderings/second through one warm engine, `order` per matrix.
     pub warm_ops: f64,
     /// Orderings/second through one warm engine's `order_batch` (two-level
     /// parallelism on the pooled backend).
     pub batch_ops: f64,
-    /// Every engine permutation matched `rcm_with_backend` bit for bit —
+    /// Every engine permutation matched a fresh engine's bit for bit —
     /// on the measured backend for the whole stream, and on all four
     /// backends for the stream's largest matrix.
     pub identical: bool,
@@ -691,7 +724,7 @@ pub struct ThroughputRow {
 /// class: a stream of the class at several scales, each configuration
 /// timed best-of-`reps` over full passes. Cold constructs an
 /// [`rcm_core::OrderingEngine`] per ordering (for the pooled backend that includes
-/// the worker spawn, exactly what `par_rcm` pays per call); warm reuses
+/// the worker spawn, exactly what a single-use engine pays); warm reuses
 /// one engine; batch additionally schedules small matrices whole,
 /// one-per-worker.
 pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
@@ -715,7 +748,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
         // Bit-equality across all four backends on the stream's largest
         // matrix — checked once per class (the dist/hybrid simulations are
         // the expensive part), shared by both measured rows.
-        let serial_ref = rcm_with_backend(largest, BackendKind::Serial);
+        let serial_ref = fresh_perm(largest, BackendKind::Serial);
         let mut four_way_identical = true;
         for check_kind in [
             BackendKind::Pooled { threads: 4 },
@@ -725,22 +758,20 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
                 threads_per_proc: 6,
             },
         ] {
-            four_way_identical &= rcm_core::OrderingEngine::with_backend(check_kind)
-                .order(largest)
-                .perm
-                == serial_ref;
+            four_way_identical &=
+                OrderingEngine::with_backend(check_kind).order(largest).perm == serial_ref;
         }
         for (backend, kind) in [
             ("serial", BackendKind::Serial),
             ("pooled", BackendKind::Pooled { threads: 4 }),
         ] {
-            // Bit-equality of the warm engine against the per-call entry,
-            // on the measured backend for every stream matrix.
-            let mut engine = rcm_core::OrderingEngine::with_backend(kind);
+            // Bit-equality of the warm engine against a fresh one, on the
+            // measured backend for every stream matrix.
+            let mut engine = OrderingEngine::with_backend(kind);
             let identical = four_way_identical
                 && mats
                     .iter()
-                    .all(|a| engine.order(a).perm == rcm_with_backend(a, kind));
+                    .all(|a| engine.order(a).perm == fresh_perm(a, kind));
 
             // The three modes are measured *interleaved* within each rep
             // (cold, then warm, then batch, adjacent in time) so ambient
@@ -755,7 +786,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
             for _ in 0..reps {
                 let t0 = Instant::now();
                 for a in &mats {
-                    let report = rcm_core::OrderingEngine::with_backend(kind).order(a);
+                    let report = OrderingEngine::with_backend(kind).order(a);
                     assert_eq!(report.perm.len(), a.n_rows());
                 }
                 cold_best = cold_best.min(t0.elapsed().as_secs_f64());
@@ -789,7 +820,7 @@ pub fn throughput_measurements(cfg: &ExpConfig) -> Vec<ThroughputRow> {
 /// per-call construction vs warm batch, per suite class and backend. The
 /// bench tests assert warm ≥ cold on every class's pooled row (the
 /// amortization the engine exists for) and that every permutation stayed
-/// bit-identical to `rcm_with_backend`.
+/// bit-identical to a fresh single-use engine's.
 pub fn throughput_table(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Ordering throughput — warm OrderingEngine vs cold per-call (orderings/sec)",
@@ -860,9 +891,7 @@ pub struct ServiceRow {
 /// inter-arrival gaps from the seeded shim RNG and reports latency
 /// percentiles off the `JobHandle` clocks.
 pub fn service_measurements(cfg: &ExpConfig) -> Vec<ServiceRow> {
-    use rcm_core::{
-        CacheOutcome, EngineConfig, OrderingEngine, OrderingRequest, OrderingService, ServiceConfig,
-    };
+    use rcm_core::{CacheOutcome, OrderingRequest, OrderingService, ServiceConfig};
     let names: Vec<&str> = cfg.matrices().iter().map(|m| m.name).collect();
     let reps = if cfg.quick { 3 } else { 5 };
     let scales = [0.45f64, 0.6, 0.75, 0.9];
@@ -883,7 +912,7 @@ pub fn service_measurements(cfg: &ExpConfig) -> Vec<ServiceRow> {
         }
         let fresh: Vec<Permutation> = mats
             .iter()
-            .map(|a| rcm_with_backend(a, BackendKind::Serial))
+            .map(|a| fresh_perm(a, BackendKind::Serial))
             .collect();
 
         let engine_cfg = EngineConfig::builder().backend(BackendKind::Serial).build();
@@ -1091,7 +1120,7 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
     let mut rows = Vec::new();
     for (class, a) in component_classes(cfg) {
         let components = connected_components(&a).count();
-        let serial_ref = rcm_with_backend(&a, BackendKind::Serial);
+        let serial_ref = fresh_perm(&a, BackendKind::Serial);
         // Bit-equality of the split path across all four backends, checked
         // once per class (the dist/hybrid simulations are the expensive
         // part), shared by every measured row of the class.
@@ -1105,8 +1134,8 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
                 threads_per_proc: 6,
             },
         ] {
-            let mut split_engine = rcm_core::OrderingEngine::new(
-                rcm_core::EngineConfig::builder()
+            let mut split_engine = OrderingEngine::new(
+                EngineConfig::builder()
                     .backend(kind)
                     .split_components(true)
                     .build(),
@@ -1119,9 +1148,9 @@ pub fn component_measurements(cfg: &ExpConfig) -> Vec<ComponentRow> {
             backends.push(("pooled", t, BackendKind::Pooled { threads: t }));
         }
         for (backend, threads, kind) in backends {
-            let mut seq = rcm_core::OrderingEngine::with_backend(kind);
-            let mut split = rcm_core::OrderingEngine::new(
-                rcm_core::EngineConfig::builder()
+            let mut seq = OrderingEngine::with_backend(kind);
+            let mut split = OrderingEngine::new(
+                EngineConfig::builder()
                     .backend(kind)
                     .split_components(true)
                     .build(),
@@ -1274,15 +1303,12 @@ pub fn startnode_measurements(cfg: &ExpConfig) -> Vec<StartNodeRow> {
     for m in cfg.matrices() {
         let a = cfg.generate(&m);
         for strategy in START_NODE_STRATEGIES {
-            let mut serial_engine = rcm_core::OrderingEngine::new(
-                rcm_core::EngineConfig::builder()
-                    .start_node(strategy)
-                    .build(),
-            );
+            let mut serial_engine =
+                OrderingEngine::new(EngineConfig::builder().start_node(strategy).build());
             let serial_ref = serial_engine.order(&a);
             for (backend, kind) in backends {
-                let mut engine = rcm_core::OrderingEngine::new(
-                    rcm_core::EngineConfig::builder()
+                let mut engine = OrderingEngine::new(
+                    EngineConfig::builder()
                         .backend(kind)
                         .start_node(strategy)
                         .build(),
@@ -1619,7 +1645,7 @@ pub fn quality_comparison(cfg: &ExpConfig) -> Table {
         let methods: Vec<Method> = vec![
             natural,
             ("rcm", |a| rcm(a)),
-            ("cm", |a| rcm_core::cuthill_mckee(a).0),
+            ("cm", |a| rcm_core::cuthill_mckee(a)),
             ("sloan", |a| sloan(a)),
             ("rcm-nosort", |a| rcm_nosort(a)),
             ("rcm-globalsort", |a| rcm_globalsort(a)),
@@ -1734,7 +1760,7 @@ pub fn gather_vs_distributed(cfg: &ExpConfig) -> Table {
             let gather = machine.alpha * (procs as f64).log2().ceil() + machine.beta * bytes;
             let mut dcfg = DistRcmConfig::hybrid_on_edison(cores);
             dcfg.balance_seed = Some(0xBA1A);
-            let dist = dist_rcm(&a, &dcfg);
+            let dist = simulate(&a, dcfg);
             t.row(vec![
                 m.name.to_string(),
                 cores.to_string(),
@@ -1772,7 +1798,7 @@ pub fn machine_sensitivity(cfg: &ExpConfig) -> Table {
         for cores in [24usize, 216, 1014] {
             let mut c = DistRcmConfig::hybrid_on_edison(cores);
             c.machine = machine;
-            let r = dist_rcm(&a, &c);
+            let r = simulate(&a, c);
             if r.sim_seconds < best.1 {
                 best = (cores, r.sim_seconds);
             }
@@ -1842,15 +1868,14 @@ pub fn backend_sweep(cfg: &ExpConfig) -> Table {
     );
     for m in cfg.matrices() {
         let a = cfg.generate(&m);
-        let reference = rcm_with_backend(&a, BackendKind::Serial);
+        let reference = fresh_perm(&a, BackendKind::Serial);
         // Measured backends.
         for (kind, config) in [
             (BackendKind::Serial, "1 thread".to_string()),
             (BackendKind::Pooled { threads: 4 }, "4 threads".to_string()),
         ] {
-            let t0 = Instant::now();
-            let p = rcm_with_backend(&a, kind);
-            let dt = t0.elapsed().as_secs_f64();
+            let (dt, report) = timed_fresh_order(EngineConfig::builder().backend(kind).build(), &a);
+            let p = report.perm;
             t.row(vec![
                 m.name.to_string(),
                 kind.name().to_string(),
@@ -1870,7 +1895,7 @@ pub fn backend_sweep(cfg: &ExpConfig) -> Table {
                 "4 ranks × 6t",
             ),
         ] {
-            let r = dist_rcm(&a, &dcfg);
+            let r = simulate(&a, dcfg);
             t.row(vec![
                 m.name.to_string(),
                 name.to_string(),
@@ -1941,13 +1966,13 @@ pub fn balance_ablation(cfg: &ExpConfig) -> Table {
             .grid()
             .expect("paper core counts are square");
         let imb_before = nnz_imbalance(&DistCscMatrix::from_global(grid, &a, None));
-        let plain = dist_rcm(&a, &base_cfg);
+        let plain = simulate(&a, base_cfg);
         let bw_plain = ordering_bandwidth(&a, &plain.perm);
         for &seed in &seeds {
             let imb_after = nnz_imbalance(&DistCscMatrix::from_global(grid, &a, Some(seed)));
             let mut c = base_cfg;
             c.balance_seed = Some(seed);
-            let balanced = dist_rcm(&a, &c);
+            let balanced = simulate(&a, c);
             let bw_balanced = ordering_bandwidth(&a, &balanced.perm);
             let delta = (balanced.sim_seconds - plain.sim_seconds) / plain.sim_seconds;
             t.row(vec![
@@ -2031,7 +2056,7 @@ pub fn mtx_table(cfg: &ExpConfig) -> Table {
         } else {
             0
         };
-        let sim = dist_rcm(a, &DistRcmConfig::hybrid_on_edison(24));
+        let sim = simulate(a, DistRcmConfig::hybrid_on_edison(24));
         t.row(vec![
             name,
             fmt_count(a.n_rows() as u64),
@@ -2145,8 +2170,8 @@ mod tests {
                     threads_per_proc: 6,
                 },
             ] {
-                let mut engine = rcm_core::OrderingEngine::new(
-                    rcm_core::EngineConfig::builder()
+                let mut engine = OrderingEngine::new(
+                    EngineConfig::builder()
                         .backend(kind)
                         .start_node(StartNode::GeorgeLiu)
                         .build(),
@@ -2232,7 +2257,7 @@ mod tests {
                 let time = |d: ExpandDirection| {
                     let mut dcfg = base;
                     dcfg.direction = d;
-                    dist_rcm(&a, &dcfg).sim_seconds
+                    simulate(&a, dcfg).sim_seconds
                 };
                 let push = time(ExpandDirection::Push);
                 let adaptive = time(ExpandDirection::Adaptive);
@@ -2256,7 +2281,7 @@ mod tests {
         // the cold per-call baseline on the pooled backend — cold pays the
         // worker spawn and workspace construction per ordering, warm pays
         // neither — and every permutation must stay bit-identical to
-        // `rcm_with_backend` (checked across all four backends inside the
+        // a fresh engine's (checked across all four backends inside the
         // measurement).
         // Wall-clock relation, so measure over independent attempts: the
         // structural margin (a 4-thread spawn per cold ordering) is ~10%,
@@ -2272,7 +2297,7 @@ mod tests {
             for row in &rows {
                 assert!(
                     row.identical,
-                    "{} ({}): engine permutations diverged from rcm_with_backend",
+                    "{} ({}): engine permutations diverged from a fresh engine's",
                     row.matrix, row.backend
                 );
                 if row.backend == "pooled" {

@@ -8,7 +8,7 @@
 //! | [`HybridBackend`] | [`DistBackend`] | compute divided by [`rcm_dist::MachineModel::thread_speedup`] |
 //!
 //! Every backend executes the identical generic driver
-//! ([`crate::driver::drive_cm`]) and produces the bit-identical
+//! ([`crate::driver::drive_cm_with`]) and produces the bit-identical
 //! permutation; only the execution substrate and the modeled cost differ.
 
 mod dist;

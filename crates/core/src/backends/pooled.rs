@@ -71,7 +71,7 @@ impl<'x, 's> PooledBackend<'x, 's> {
     }
 
     /// The (unreversed) Cuthill-McKee permutation after
-    /// [`crate::driver::drive_cm`], plus the parallel-expansion count.
+    /// [`crate::driver::drive_cm_with`], plus the parallel-expansion count.
     pub fn into_cm_permutation(self) -> (Permutation, usize) {
         let new_of_old: Vec<Vidx> = self.ws.order[..self.n].iter().map(|&l| l as Vidx).collect();
         (
@@ -301,5 +301,138 @@ impl RcmRuntime for PooledBackend<'_, '_> {
             .filter(|&v| self.ws.order[v] == UNVISITED)
             .min_by_key(|&v| (degrees[v], v as Vidx))
             .map(|v| v as Vidx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::pooled_cm_raw;
+    use crate::pool::{thread_counts_from_env, PoolConfig, RcmPool};
+    use crate::testutil::scrambled_grid;
+    use crate::{serial, EngineConfig, OrderingEngine, OrderingReport};
+    use rcm_sparse::{CooBuilder, CscMatrix, Vidx};
+
+    /// `a` ordered by a fresh pooled engine at `threads` workers, under the
+    /// environment's direction and start-node overrides.
+    fn pooled(a: &CscMatrix, threads: usize) -> OrderingReport {
+        OrderingEngine::new(EngineConfig::from_env().threads(threads).build()).order(a)
+    }
+
+    #[test]
+    fn matches_serial_for_any_thread_count() {
+        let a = scrambled_grid(13, 23);
+        let expect = serial::rcm(&a);
+        for t in thread_counts_from_env(&[1, 2, 3, 4, 8]) {
+            assert_eq!(pooled(&a, t).perm, expect, "{t} threads diverged");
+        }
+    }
+
+    /// Caterpillar: `hubs` path-connected hub vertices, each with `leaves`
+    /// pendant vertices. Every interior BFS level holds `leaves + 1`
+    /// vertices, safely above [`crate::pool::DEFAULT_SEQ_CUTOFF`].
+    fn wide_level_graph(hubs: usize, leaves: usize) -> CscMatrix {
+        let n = hubs * (leaves + 1);
+        let mut b = CooBuilder::new(n, n);
+        for h in 0..hubs {
+            let hub = (h * (leaves + 1)) as Vidx;
+            if h + 1 < hubs {
+                b.push_sym(hub, hub + (leaves + 1) as Vidx);
+            }
+            for l in 1..=leaves {
+                b.push_sym(hub, hub + l as Vidx);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn matches_serial_above_the_cutover() {
+        let a = wide_level_graph(10, 300);
+        let expect = serial::rcm(&a);
+        for t in thread_counts_from_env(&[2, 5, 8]) {
+            let report = pooled(&a, t);
+            assert_eq!(report.perm, expect, "{t} threads diverged");
+            if t > 1 {
+                assert!(
+                    report.parallel_levels > 0,
+                    "{t} threads never took the parallel path"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cutover_threshold_is_configurable() {
+        // With seq_cutoff = 1 even tiny frontiers go parallel; the answer
+        // must not change.
+        let a = scrambled_grid(9, 7);
+        let mut pool = RcmPool::new(PoolConfig {
+            nthreads: 3,
+            seq_cutoff: 1,
+            chunk: 2,
+        });
+        let config = EngineConfig::from_env().build();
+        let (cm, stats, parallel_levels) =
+            pooled_cm_raw(&a, &mut pool, config.direction, config.start_node);
+        assert_eq!(cm, serial::cuthill_mckee(&a));
+        // Every ordering expansion goes parallel: one per level plus each
+        // component's final empty expansion.
+        assert_eq!(parallel_levels, stats.levels + stats.components);
+    }
+
+    #[test]
+    fn large_frontier_takes_threaded_path() {
+        // A star graph has one giant level — forces the parallel branch.
+        let n = 2000;
+        let mut b = CooBuilder::new(n, n);
+        for v in 1..n {
+            b.push_sym(0, v as Vidx);
+        }
+        let a = b.build();
+        let report = pooled(&a, 4);
+        assert_eq!(report.perm.len(), n);
+        assert_eq!(report.stats.components, 1);
+        assert!(
+            report.parallel_levels > 0,
+            "star level must run in parallel"
+        );
+        assert_eq!(report.perm, serial::rcm(&a));
+    }
+
+    #[test]
+    fn components_counted() {
+        let mut b = CooBuilder::new(6, 6);
+        b.push_sym(0, 1);
+        b.push_sym(2, 3);
+        let a = b.build();
+        let report = pooled(&a, 2);
+        assert_eq!(report.perm.len(), 6);
+        assert_eq!(report.stats.components, 4);
+    }
+
+    #[test]
+    fn duplicate_candidates_keep_min_parent() {
+        // Diamond: 0-1, 0-2, 1-3, 2-3. From root 0, vertex 3 is reachable
+        // from both 1 and 2; it must attach to the smaller label.
+        let mut b = CooBuilder::new(4, 4);
+        b.push_sym(0, 1);
+        b.push_sym(0, 2);
+        b.push_sym(1, 3);
+        b.push_sym(2, 3);
+        let a = b.build();
+        assert_eq!(pooled(&a, 2).perm, serial::rcm(&a));
+    }
+
+    #[test]
+    fn pool_reuse_across_matrices_is_clean() {
+        let mut engine = OrderingEngine::new(EngineConfig::from_env().threads(4).build());
+        for (w, stride) in [(20usize, 13usize), (31, 17), (12, 7)] {
+            let a = scrambled_grid(w, stride);
+            assert_eq!(
+                engine.order(&a).perm,
+                serial::rcm(&a),
+                "{w}x{w} grid diverged"
+            );
+        }
     }
 }

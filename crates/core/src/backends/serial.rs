@@ -1,6 +1,9 @@
 //! [`SerialBackend`]: the Table-I primitives on sequential `rcm-sparse`
 //! vectors — the *specification* backend every other one must match bit
-//! for bit (the data path of the former `algebraic.rs` driver).
+//! for bit, and itself bit-identical to the classical George–Liu oracle of
+//! [`crate::serial`] (the `(select2nd, min)` semiring and the
+//! `(parent label, degree, vertex)` sort make the computation fully
+//! deterministic).
 //!
 //! The backend's allocation lifecycle is split in two, the pattern every
 //! backend follows since the engine refactor:
@@ -147,13 +150,13 @@ impl<'a> SerialBackend<'a> {
         }
     }
 
-    /// The raw Cuthill-McKee labels after [`crate::driver::drive_cm`].
+    /// The raw Cuthill-McKee labels after [`crate::driver::drive_cm_with`].
     pub fn into_order(self) -> Vec<Label> {
         self.ws.order[..self.n].to_vec()
     }
 
     /// The (unreversed) Cuthill-McKee permutation after
-    /// [`crate::driver::drive_cm`].
+    /// [`crate::driver::drive_cm_with`].
     pub fn into_cm_permutation(self) -> Permutation {
         self.finish().0
     }
@@ -313,5 +316,80 @@ impl RcmRuntime for SerialBackend<'_> {
 
     fn spmspv_work(&self) -> usize {
         self.spmspv_work
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::testutil::scrambled_grid;
+    use crate::{serial, BackendKind, OrderingEngine, OrderingReport};
+    use rcm_sparse::{matrix_bandwidth, CooBuilder, CscMatrix, Permutation, Vidx};
+
+    /// `a` ordered by a fresh engine on the serial backend — the
+    /// matrix-algebraic formulation (Algorithms 3 and 4).
+    fn algebraic(a: &CscMatrix) -> OrderingReport {
+        OrderingEngine::with_backend(BackendKind::Serial).order(a)
+    }
+
+    fn path(n: usize) -> CscMatrix {
+        let mut b = CooBuilder::new(n, n);
+        for v in 0..n - 1 {
+            b.push_sym(v as Vidx, (v + 1) as Vidx);
+        }
+        b.build()
+    }
+
+    fn scrambled(a: &CscMatrix, stride: usize) -> CscMatrix {
+        let n = a.n_rows();
+        let perm: Vec<Vidx> = (0..n).map(|i| ((i * stride) % n) as Vidx).collect();
+        a.permute_sym(&Permutation::from_new_of_old(perm).unwrap())
+    }
+
+    #[test]
+    fn algebraic_equals_classical_on_path() {
+        let a = scrambled(&path(40), 13);
+        assert_eq!(algebraic(&a).perm, serial::rcm(&a));
+    }
+
+    #[test]
+    fn algebraic_equals_classical_on_grid() {
+        let a = scrambled_grid(9, 23);
+        let report = algebraic(&a);
+        assert_eq!(report.perm, serial::rcm(&a));
+        assert_eq!(report.stats.components, 1);
+        assert!(report.stats.spmspv_work > 0);
+    }
+
+    #[test]
+    fn algebraic_handles_components() {
+        let mut b = CooBuilder::new(7, 7);
+        b.push_sym(0, 1);
+        b.push_sym(2, 3);
+        b.push_sym(3, 4);
+        let a = b.build();
+        let report = algebraic(&a);
+        assert_eq!(report.perm.len(), 7);
+        assert_eq!(report.stats.components, 4); // {0,1}, {2,3,4}, {5}, {6}
+        assert_eq!(report.perm, serial::rcm(&a));
+    }
+
+    #[test]
+    fn algebraic_rcm_reduces_bandwidth() {
+        let a = scrambled(&path(60), 17);
+        let p = algebraic(&a).perm;
+        assert_eq!(matrix_bandwidth(&a.permute_sym(&p)), 1);
+    }
+
+    #[test]
+    fn empty_matrix() {
+        assert_eq!(algebraic(&CscMatrix::empty(0)).perm.len(), 0);
+    }
+
+    #[test]
+    fn single_vertex() {
+        let report = algebraic(&CscMatrix::empty(1));
+        assert_eq!(report.perm.len(), 1);
+        assert_eq!(report.stats.components, 1);
+        assert_eq!(report.stats.levels, 0);
     }
 }

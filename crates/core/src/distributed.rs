@@ -1,28 +1,48 @@
 //! The distributed-memory RCM algorithm — Algorithms 3 and 4 of the paper
 //! executed on the `rcm-dist` simulated runtime.
 //!
-//! Since the [`crate::driver`] refactor this module holds only the run
-//! configuration and result types plus the [`dist_rcm`] shim: the
+//! This module holds only the run configuration and result types: the
 //! BFS/peripheral/labeling pipeline lives **once** in
-//! [`crate::driver::drive_cm`], and `dist_rcm` runs it on
+//! [`crate::driver::drive_cm_with`], and an [`crate::OrderingEngine`]
+//! built with [`crate::EngineConfigBuilder::dist`] runs it on
 //! [`crate::backends::DistBackend`] (flat MPI) or
 //! [`crate::backends::HybridBackend`] (`threads_per_proc > 1`, the Fig. 6
-//! MPI×OpenMP configuration). Every step charges simulated time to a
+//! MPI×OpenMP configuration), attaching the result to
+//! [`crate::OrderingReport::sim`]:
+//!
+//! ```
+//! use rcm_core::{DistRcmConfig, EngineConfig, OrderingEngine};
+//! use rcm_sparse::CooBuilder;
+//!
+//! let mut b = CooBuilder::new(6, 6);
+//! for v in 0..5 {
+//!     b.push_sym(v, v + 1);
+//! }
+//! let config = EngineConfig::builder()
+//!     .dist(DistRcmConfig::hybrid_on_edison(24))
+//!     .build();
+//! let report = OrderingEngine::new(config).order(&b.build());
+//! let sim = report.sim.expect("dist/hybrid orderings carry a sim result");
+//! assert_eq!(sim.threads_per_proc, 6);
+//! assert!(sim.sim_seconds > 0.0);
+//! ```
+//!
+//! Every step charges simulated time to a
 //! [`rcm_dist::SimClock`] under the phase taxonomy of Fig. 4
 //! (`Peripheral/Ordering × SpMSpV/Sort/Other`), which is what the
 //! benchmark harness plots.
 //!
 //! Determinism: with `balance_seed = None` the returned permutation is
-//! *identical* to [`crate::algebraic::algebraic_rcm`] for every grid size
+//! *identical* to the serial backend's for every grid size
 //! and thread count — the cross-backend tests rely on this. A load-balance
 //! permutation relabels vertices internally, which can change
 //! `(degree, id)` tie-breaks; quality is unaffected but exact orderings may
 //! differ.
 
-use crate::driver::{ExpandDirection, StartNode};
+use crate::driver::{DriverStats, ExpandDirection, StartNode};
 pub use crate::driver::{LevelStat, PeripheralStat};
 use rcm_dist::{HybridConfig, MachineModel};
-use rcm_sparse::{CscMatrix, Permutation};
+use rcm_sparse::Permutation;
 
 /// How (and whether) frontier vertices are sorted before labeling — the
 /// §VI "future work" ablation knob.
@@ -56,12 +76,15 @@ pub struct DistRcmConfig {
     /// Sorting strategy (ablation; default = the paper's algorithm).
     pub sort_mode: SortMode,
     /// Frontier-expansion direction policy (forced push/pull or the
-    /// Beamer-style adaptive switch). Every policy produces the identical
-    /// permutation; the constructors default it from `RCM_DIRECTION`.
+    /// Beamer-style adaptive switch) for a backend driven directly. Every
+    /// policy produces the identical permutation; the constructors default
+    /// it to [`ExpandDirection::Adaptive`]. An engine applies its own
+    /// [`crate::EngineConfig::direction`] instead.
     pub direction: ExpandDirection,
     /// Start-node selection strategy (George–Liu sweep, RCM++ bi-criteria,
-    /// a fixed vertex, or zero-sweep min-degree). The constructors default
-    /// it from `RCM_START_NODE`.
+    /// a fixed vertex, or zero-sweep min-degree) for a backend driven
+    /// directly. The constructors default it to [`StartNode::GeorgeLiu`];
+    /// an engine applies its own [`crate::EngineConfig::start_node`].
     pub start_node: StartNode,
 }
 
@@ -73,8 +96,8 @@ impl DistRcmConfig {
             hybrid: HybridConfig::new(cores, 6),
             balance_seed: None,
             sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::from_env(),
+            direction: ExpandDirection::Adaptive,
+            start_node: StartNode::GeorgeLiu,
         }
     }
 
@@ -85,8 +108,8 @@ impl DistRcmConfig {
             hybrid: HybridConfig::new(cores, 1),
             balance_seed: None,
             sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::from_env(),
+            direction: ExpandDirection::Adaptive,
+            start_node: StartNode::GeorgeLiu,
         }
     }
 }
@@ -127,42 +150,44 @@ pub struct DistRcmResult {
     pub peripheral_stats: Vec<PeripheralStat>,
 }
 
-/// Run distributed RCM on a symmetric pattern matrix.
-///
-/// A thin shim over a per-call [`crate::engine::OrderingEngine`]:
-/// `threads_per_proc > 1` selects the hybrid backend (compute charged
-/// through [`MachineModel::thread_speedup`]), otherwise the flat one — the
-/// data path, and therefore the permutation, is identical either way.
-/// Sessions that order many matrices should hold a warm engine instead.
-///
-/// Panics when the configuration's process count is not a perfect square
-/// (the paper's CombBLAS restriction, §V-A).
-pub fn dist_rcm(a: &CscMatrix, config: &DistRcmConfig) -> DistRcmResult {
-    let kind = if config.hybrid.threads_per_proc > 1 {
-        crate::driver::BackendKind::Hybrid {
-            cores: config.hybrid.cores,
-            threads_per_proc: config.hybrid.threads_per_proc,
+impl DistRcmResult {
+    /// The run's generic-driver execution record (the simulated runtime
+    /// counts no SpMSpV work).
+    pub(crate) fn driver_stats(&self) -> DriverStats {
+        DriverStats {
+            components: self.components,
+            peripheral_bfs: self.peripheral_bfs,
+            levels: self.levels,
+            spmspv_work: 0,
+            push_expands: self.push_expands,
+            pull_expands: self.pull_expands,
+            level_stats: self.level_stats.clone(),
+            peripheral_stats: self.peripheral_stats.clone(),
         }
-    } else {
-        crate::driver::BackendKind::Dist {
-            cores: config.hybrid.cores,
-        }
-    };
-    let engine_cfg = crate::engine::EngineConfig::builder()
-        .backend(kind)
-        .direction(config.direction)
-        .start_node(config.start_node)
-        .dist(*config)
-        .build();
-    crate::engine::OrderingEngine::new(engine_cfg).order_dist(a)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebraic::algebraic_rcm;
+    use crate::{BackendKind, EngineConfig, OrderingEngine};
     use rcm_dist::Phase;
-    use rcm_sparse::{matrix_bandwidth, CooBuilder, Vidx};
+    use rcm_sparse::{matrix_bandwidth, CooBuilder, CscMatrix, Vidx};
+
+    /// The simulated result of ordering `a` on a fresh engine.
+    fn simulate(a: &CscMatrix, config: &DistRcmConfig) -> DistRcmResult {
+        let report = OrderingEngine::new(EngineConfig::builder().dist(*config).build()).order(a);
+        report
+            .sim
+            .expect("dist/hybrid orderings carry a sim result")
+    }
+
+    /// The serial (algebraic specification) backend's permutation.
+    fn serial_backend_rcm(a: &CscMatrix) -> Permutation {
+        OrderingEngine::with_backend(BackendKind::Serial)
+            .order(a)
+            .perm
+    }
 
     fn scrambled_path(n: usize, stride: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -191,22 +216,15 @@ mod tests {
     }
 
     fn config_with_cores(cores: usize) -> DistRcmConfig {
-        DistRcmConfig {
-            machine: MachineModel::edison(),
-            hybrid: HybridConfig::new(cores, 1),
-            balance_seed: None,
-            sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::GeorgeLiu,
-        }
+        DistRcmConfig::flat_on_edison(cores)
     }
 
     #[test]
     fn distributed_equals_algebraic_on_every_grid() {
         let a = scrambled_path(37, 11);
-        let (expect, _) = algebraic_rcm(&a);
+        let expect = serial_backend_rcm(&a);
         for procs in [1usize, 4, 9, 16] {
-            let res = dist_rcm(&a, &config_with_cores(procs));
+            let res = simulate(&a, &config_with_cores(procs));
             assert_eq!(res.perm, expect, "diverged on {procs} ranks");
         }
     }
@@ -214,9 +232,9 @@ mod tests {
     #[test]
     fn distributed_equals_algebraic_on_2d_grid_graph() {
         let a = grid_graph(11);
-        let (expect, _) = algebraic_rcm(&a);
+        let expect = serial_backend_rcm(&a);
         for procs in [1usize, 9, 25] {
-            let res = dist_rcm(&a, &config_with_cores(procs));
+            let res = simulate(&a, &config_with_cores(procs));
             assert_eq!(res.perm, expect, "diverged on {procs} ranks");
         }
     }
@@ -231,8 +249,8 @@ mod tests {
         b.push_sym(8, 9);
         b.push_sym(9, 7);
         let a = b.build();
-        let (expect, _) = algebraic_rcm(&a);
-        let res = dist_rcm(&a, &config_with_cores(4));
+        let expect = serial_backend_rcm(&a);
+        let res = simulate(&a, &config_with_cores(4));
         assert_eq!(res.perm, expect);
         assert_eq!(res.components, 7); // {0,1,2} {3} {4} {5,6} {7,8,9} {10} {11}
     }
@@ -240,10 +258,10 @@ mod tests {
     #[test]
     fn balance_permutation_preserves_quality() {
         let a = scrambled_path(60, 17);
-        let plain = dist_rcm(&a, &config_with_cores(4));
+        let plain = simulate(&a, &config_with_cores(4));
         let mut cfg = config_with_cores(4);
         cfg.balance_seed = Some(99);
-        let balanced = dist_rcm(&a, &cfg);
+        let balanced = simulate(&a, &cfg);
         let bw_plain = matrix_bandwidth(&a.permute_sym(&plain.perm));
         let bw_balanced = matrix_bandwidth(&a.permute_sym(&balanced.perm));
         assert_eq!(bw_plain, 1);
@@ -253,8 +271,8 @@ mod tests {
     #[test]
     fn more_ranks_cost_more_communication() {
         let a = grid_graph(14);
-        let r1 = dist_rcm(&a, &config_with_cores(1));
-        let r16 = dist_rcm(&a, &config_with_cores(16));
+        let r1 = simulate(&a, &config_with_cores(1));
+        let r16 = simulate(&a, &config_with_cores(16));
         assert_eq!(r1.breakdown.comm_total(), 0.0);
         assert!(r16.breakdown.comm_total() > 0.0);
         assert!(r16.messages > 0);
@@ -270,8 +288,8 @@ mod tests {
         flat.hybrid = HybridConfig::new(4, 1);
         let mut hybrid = config_with_cores(4);
         hybrid.hybrid = HybridConfig::new(24, 6); // same 4-rank grid, 6 threads
-        let rf = dist_rcm(&a, &flat);
-        let rh = dist_rcm(&a, &hybrid);
+        let rf = simulate(&a, &flat);
+        let rh = simulate(&a, &hybrid);
         assert_eq!(rf.perm, rh.perm);
         assert!(rh.breakdown.compute_total() < rf.breakdown.compute_total());
         assert_eq!(rf.grid_side, rh.grid_side);
@@ -282,10 +300,10 @@ mod tests {
         let a = grid_graph(13);
         let mut cfg = config_with_cores(4);
         cfg.sort_mode = SortMode::NoSort;
-        let res = dist_rcm(&a, &cfg);
+        let res = simulate(&a, &cfg);
         assert_eq!(res.perm.len(), a.n_rows());
         // Still a bandwidth reducer on a shuffled path, just not optimal.
-        let full = dist_rcm(&a, &config_with_cores(4));
+        let full = simulate(&a, &config_with_cores(4));
         let bw_nosort = matrix_bandwidth(&a.permute_sym(&res.perm));
         let bw_full = matrix_bandwidth(&a.permute_sym(&full.perm));
         assert!(bw_full <= bw_nosort);
@@ -296,7 +314,7 @@ mod tests {
         let a = grid_graph(9);
         let mut cfg = config_with_cores(4);
         cfg.sort_mode = SortMode::GlobalSortAtEnd;
-        let res = dist_rcm(&a, &cfg);
+        let res = simulate(&a, &cfg);
         assert_eq!(res.perm.len(), a.n_rows());
         let bw = matrix_bandwidth(&a.permute_sym(&res.perm));
         assert!(
@@ -308,7 +326,7 @@ mod tests {
     #[test]
     fn breakdown_phases_are_populated() {
         let a = grid_graph(12);
-        let res = dist_rcm(&a, &config_with_cores(9));
+        let res = simulate(&a, &config_with_cores(9));
         for ph in Phase::ALL {
             let pair = res.breakdown.get(ph);
             assert!(pair.compute > 0.0 || pair.comm > 0.0, "{ph:?} empty");

@@ -10,18 +10,19 @@
 //! * [`RcmRuntime`] captures exactly the Table-I surface plus an associated
 //!   frontier type and a cost hook ([`RcmRuntime::set_phase`] /
 //!   [`RcmRuntime::now`]), and
-//! * [`drive_cm`] runs the pseudo-peripheral search (Algorithm 4), the
+//! * [`drive_cm_with`] runs the pseudo-peripheral search (Algorithm 4), the
 //!   level-synchronous BFS, and the labeling/`SORTPERM` pass (Algorithm 3)
 //!   generically — the only copy of that pipeline in the workspace.
 //!
-//! Four backends implement the trait (see [`crate::backends`]):
+//! Four backends implement the trait (see [`crate::backends`]); the
+//! [`crate::OrderingEngine`] selects one through [`BackendKind`]:
 //!
-//! | backend | runtime | entry point |
+//! | backend | runtime | [`BackendKind`] |
 //! |---|---|---|
-//! | [`SerialBackend`] | sequential `rcm-sparse` vectors | [`crate::algebraic_rcm`] |
-//! | [`PooledBackend`] | work-stealing thread pool ([`crate::pool`]) | [`crate::par_rcm`] |
-//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`), flat MPI | [`crate::dist_rcm`] |
-//! | [`HybridBackend`] | `DistBackend` with `threads_per_proc > 1` (Fig. 6) | [`crate::dist_rcm`] |
+//! | [`SerialBackend`] | sequential `rcm-sparse` vectors | `Serial` |
+//! | [`PooledBackend`] | work-stealing thread pool ([`crate::pool`]) | `Pooled { threads }` |
+//! | [`DistBackend`] | simulated 2D runtime (`rcm-dist`), flat MPI | `Dist { cores }` |
+//! | [`HybridBackend`] | `DistBackend` with `threads_per_proc > 1` (Fig. 6) | `Hybrid { cores, threads_per_proc }` |
 //!
 //! All four produce **bit-identical** permutations — the cross-backend
 //! equality is enforced by the integration suite on every suite graph.
@@ -58,8 +59,9 @@
 //! reference — where neither cost exists and min-label forbids Beamer's
 //! early exit — keeps its adaptive runs push-only. Both directions
 //! compute the identical `(select2nd, min)` result — forced modes
-//! (`RCM_DIRECTION=push|pull|adaptive|alternate`, or
-//! [`drive_cm_directed`] / `DistRcmConfig::direction`) are bit-identical by
+//! ([`drive_cm_with`], `EngineConfig::direction`, or
+//! `RCM_DIRECTION=push|pull|adaptive|alternate` through
+//! `EngineConfig::from_env`) are bit-identical by
 //! construction and swept in CI. [`DriverStats`] records the direction
 //! chosen per level ([`LevelStat::direction`],
 //! [`DriverStats::pull_expands`]).
@@ -68,7 +70,7 @@
 //!
 //! ```
 //! use rcm_core::backends::SerialBackend;
-//! use rcm_core::driver::{drive_cm, LabelingMode};
+//! use rcm_core::driver::{drive_cm_with, ExpandDirection, LabelingMode, StartNode};
 //! use rcm_sparse::CooBuilder;
 //!
 //! // A path graph with scrambled vertex numbering.
@@ -80,7 +82,12 @@
 //!
 //! // Any `RcmRuntime` runs the identical Algorithm 3/4 pipeline.
 //! let mut rt = SerialBackend::new(&a);
-//! let stats = drive_cm(&mut rt, LabelingMode::PerLevel);
+//! let stats = drive_cm_with(
+//!     &mut rt,
+//!     LabelingMode::PerLevel,
+//!     ExpandDirection::Adaptive,
+//!     &StartNode::GeorgeLiu,
+//! );
 //! let cm = rt.into_cm_permutation();
 //! assert_eq!(stats.components, 1);
 //!
@@ -149,7 +156,7 @@
 //! [`HybridBackend`]: crate::backends::HybridBackend
 
 use rcm_dist::Phase;
-use rcm_sparse::{CscMatrix, Label, Permutation, Vidx};
+use rcm_sparse::{Label, Vidx};
 
 /// Adaptive push→pull switch, frontier-vs-remaining term: a level pulls
 /// only when `PULL_ALPHA · nnz(frontier) ≥ |unvisited|` — the frontier is
@@ -170,10 +177,11 @@ pub const PULL_BETA: usize = 16;
 /// actually chosen (only [`ExpandDirection::Push`] / [`ExpandDirection::Pull`]
 /// ever appear in [`LevelStat::direction`]).
 ///
-/// The policy enters [`drive_cm_directed`] explicitly, or through the
-/// `RCM_DIRECTION` environment variable (`push`, `pull`, `adaptive`,
-/// `alternate`) for the plain entry points — every combination produces
-/// the bit-identical permutation; only the cost changes.
+/// The policy enters [`drive_cm_with`] explicitly, or through
+/// `EngineConfig::direction` (read from the `RCM_DIRECTION` environment
+/// variable — `push`, `pull`, `adaptive`, `alternate` — only by
+/// `EngineConfig::from_env`) — every combination produces the
+/// bit-identical permutation; only the cost changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExpandDirection {
     /// Always expand top-down: sparse SpMSpV over the frontier's columns.
@@ -212,17 +220,6 @@ impl ExpandDirection {
             "alternate" | "alternating" => Some(ExpandDirection::Alternating),
             _ => None,
         }
-    }
-
-    /// The policy selected by the `RCM_DIRECTION` environment variable,
-    /// falling back to [`ExpandDirection::Adaptive`] when unset or
-    /// unrecognized. CI sweeps this to enforce direction independence on
-    /// every PR.
-    pub fn from_env() -> ExpandDirection {
-        std::env::var("RCM_DIRECTION")
-            .ok()
-            .and_then(|s| ExpandDirection::parse(&s))
-            .unwrap_or(ExpandDirection::Adaptive)
     }
 
     /// Resolve the policy to a concrete per-level direction.
@@ -296,10 +293,10 @@ pub const BI_CRITERIA_GAIN_DIV: i64 = 8;
 /// min-degree seed into the vertex the ordering pass starts from.
 ///
 /// Enters the driver through [`drive_cm_with`] (or
-/// `EngineConfig::builder().start_node(..)`, `rcm-order --start-node`,
-/// `DistRcmConfig::start_node`), or through the `RCM_START_NODE`
-/// environment variable (`george-liu`, `bi-criteria`, `min-degree`,
-/// `fixed:N`) for the env-driven entry points. Each variant implements
+/// `EngineConfig::builder().start_node(..)`, `rcm-order --start-node`),
+/// or through the `RCM_START_NODE` environment variable (`george-liu`,
+/// `bi-criteria`, `min-degree`, `fixed:N`) read by
+/// `EngineConfig::from_env`. Each variant implements
 /// [`StartNodeStrategy`]; custom strategies implement the trait directly.
 ///
 /// | strategy | sweeps | start vertex |
@@ -365,17 +362,6 @@ impl StartNode {
                 v.parse::<Vidx>().ok().map(StartNode::Fixed)
             }
         }
-    }
-
-    /// The strategy selected by the `RCM_START_NODE` environment variable,
-    /// falling back to [`StartNode::GeorgeLiu`] when unset or
-    /// unrecognized. CI sweeps this to enforce per-strategy determinism on
-    /// every PR.
-    pub fn from_env() -> StartNode {
-        std::env::var("RCM_START_NODE")
-            .ok()
-            .and_then(|s| StartNode::parse(&s))
-            .unwrap_or(StartNode::GeorgeLiu)
     }
 
     /// A discriminant folded into pattern-cache keys: two orderings of the
@@ -934,33 +920,6 @@ fn label_component_global_sort<R: RcmRuntime>(
     stats.levels += level as usize;
 }
 
-/// Run the full Cuthill-McKee pipeline (Algorithms 3 + 4, per connected
-/// component) on any backend, with the direction policy taken from the
-/// `RCM_DIRECTION` environment variable ([`ExpandDirection::from_env`],
-/// default [`ExpandDirection::Adaptive`]) and the start-node strategy from
-/// `RCM_START_NODE` ([`StartNode::from_env`], default
-/// [`StartNode::GeorgeLiu`]). See [`drive_cm_with`].
-pub fn drive_cm<R: RcmRuntime>(rt: &mut R, mode: LabelingMode) -> DriverStats {
-    drive_cm_with(
-        rt,
-        mode,
-        ExpandDirection::from_env(),
-        &StartNode::from_env(),
-    )
-}
-
-/// Run the full Cuthill-McKee pipeline (Algorithms 3 + 4, per connected
-/// component) on any backend under an explicit frontier-direction policy
-/// and the default George–Liu start-node search — the classical driver,
-/// bit for bit. See [`drive_cm_with`] for a pluggable strategy.
-pub fn drive_cm_directed<R: RcmRuntime>(
-    rt: &mut R,
-    mode: LabelingMode,
-    policy: ExpandDirection,
-) -> DriverStats {
-    drive_cm_with(rt, mode, policy, &StartNode::GeorgeLiu)
-}
-
 /// Run the full Cuthill-McKee pipeline (Algorithm 3 per connected
 /// component) on any backend under an explicit frontier-direction policy
 /// and an explicit [`StartNodeStrategy`]. On return the backend's ordering
@@ -997,11 +956,12 @@ pub fn drive_cm_with<R: RcmRuntime, S: StartNodeStrategy + ?Sized>(
     stats
 }
 
-/// Backend selector for [`rcm_with_backend`] — the uniform entry the
+/// Backend selector of an [`crate::OrderingEngine`]
+/// ([`crate::EngineConfig::backend`]) — the uniform switch the
 /// cross-backend tests and the `repro backends` sweep use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// [`crate::backends::SerialBackend`] (via [`crate::algebraic_rcm`]).
+    /// [`crate::backends::SerialBackend`], the sequential specification.
     Serial,
     /// [`crate::backends::PooledBackend`] with this many worker threads.
     Pooled {
@@ -1034,39 +994,10 @@ impl BackendKind {
     }
 }
 
-/// Compute the RCM permutation of `a` on the chosen backend, direction
-/// policy from the environment ([`ExpandDirection::from_env`]).
-///
-/// Every backend returns the bit-identical permutation; they differ only in
-/// how (and at what modeled cost) they execute the shared generic driver.
-pub fn rcm_with_backend(a: &CscMatrix, kind: BackendKind) -> Permutation {
-    rcm_with_backend_directed(a, kind, ExpandDirection::from_env())
-}
-
-/// [`rcm_with_backend`] under an explicit frontier-direction policy — the
-/// uniform entry of the forced-direction equivalence tests and the
-/// `repro direction` ablation. A thin shim over a per-call
-/// [`crate::engine::OrderingEngine`]; sessions that order many matrices
-/// should hold a warm engine instead.
-pub fn rcm_with_backend_directed(
-    a: &CscMatrix,
-    kind: BackendKind,
-    direction: ExpandDirection,
-) -> Permutation {
-    crate::engine::order_once(
-        crate::engine::EngineConfig::builder()
-            .backend(kind)
-            .direction(direction)
-            .build(),
-        a,
-    )
-    .perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcm_sparse::CooBuilder;
+    use rcm_sparse::{CooBuilder, CscMatrix, Permutation};
 
     fn path(n: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -1074,6 +1005,20 @@ mod tests {
             b.push_sym(v as Vidx, (v + 1) as Vidx);
         }
         b.build()
+    }
+
+    /// `a`'s RCM permutation from a fresh single-use engine.
+    fn engine_rcm(a: &CscMatrix, kind: BackendKind, direction: ExpandDirection) -> Permutation {
+        let config = crate::EngineConfig::builder()
+            .backend(kind)
+            .direction(direction)
+            .build();
+        crate::OrderingEngine::new(config).order(a).perm
+    }
+
+    /// The classical driver: George–Liu start nodes under `policy`.
+    fn george_liu<R: RcmRuntime>(rt: &mut R, policy: ExpandDirection) -> DriverStats {
+        drive_cm_with(rt, LabelingMode::PerLevel, policy, &StartNode::GeorgeLiu)
     }
 
     #[test]
@@ -1094,7 +1039,8 @@ mod tests {
     #[test]
     fn rcm_with_backend_agrees_across_all_kinds() {
         let a = path(23);
-        let expect = rcm_with_backend(&a, BackendKind::Serial);
+        let adaptive = ExpandDirection::Adaptive;
+        let expect = engine_rcm(&a, BackendKind::Serial, adaptive);
         for kind in [
             BackendKind::Pooled { threads: 3 },
             BackendKind::Dist { cores: 4 },
@@ -1104,7 +1050,7 @@ mod tests {
             },
         ] {
             assert_eq!(
-                rcm_with_backend(&a, kind),
+                engine_rcm(&a, kind, adaptive),
                 expect,
                 "{} diverged",
                 kind.name()
@@ -1121,7 +1067,7 @@ mod tests {
         b.push_sym(3, 4);
         let a = b.build();
         let mut rt = SerialBackend::new(&a);
-        let stats = drive_cm(&mut rt, LabelingMode::PerLevel);
+        let stats = george_liu(&mut rt, ExpandDirection::Adaptive);
         assert_eq!(stats.components, 4); // {0,1}, {2,3,4}, {5}, {6}
         assert!(stats.spmspv_work > 0);
         let labeled: usize = stats.level_stats.iter().map(|l| l.frontier).sum();
@@ -1186,7 +1132,7 @@ mod tests {
         let a = path(40);
         let reference = {
             let mut rt = SerialBackend::new(&a);
-            drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
+            george_liu(&mut rt, ExpandDirection::Push);
             rt.into_order()
         };
         for policy in [
@@ -1195,7 +1141,7 @@ mod tests {
             ExpandDirection::Alternating,
         ] {
             let mut rt = SerialBackend::new(&a);
-            let stats = drive_cm_directed(&mut rt, LabelingMode::PerLevel, policy);
+            let stats = george_liu(&mut rt, policy);
             assert_eq!(rt.into_order(), reference, "{} diverged", policy.name());
             match policy {
                 ExpandDirection::Pull => {
@@ -1251,11 +1197,11 @@ mod tests {
     fn george_liu_strategy_is_the_classical_driver_bit_for_bit() {
         use crate::backends::SerialBackend;
         let a = crate::testutil::scrambled_grid(9, 7);
-        let (classical, classical_stats) = {
-            let mut rt = SerialBackend::new(&a);
-            let stats = drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
-            (rt.into_order(), stats)
-        };
+        let degrees = a.degrees();
+        let seed = (0..a.n_rows() as Vidx)
+            .min_by_key(|&v| (degrees[v as usize], v))
+            .unwrap();
+        let classical = crate::peripheral::pseudo_peripheral_with_degrees(&a, seed, &degrees);
         let mut rt = SerialBackend::new(&a);
         let stats = drive_cm_with(
             &mut rt,
@@ -1263,10 +1209,14 @@ mod tests {
             ExpandDirection::Push,
             &StartNode::GeorgeLiu,
         );
-        assert_eq!(rt.into_order(), classical);
-        assert_eq!(stats.peripheral_bfs, classical_stats.peripheral_bfs);
+        assert_eq!(rt.into_cm_permutation(), crate::serial::cuthill_mckee(&a));
+        assert_eq!(stats.peripheral_bfs, classical.bfs_count);
         assert_eq!(stats.peripheral_stats.len(), stats.components);
         let p = &stats.peripheral_stats[0];
+        assert_eq!(
+            (p.start, p.eccentricity),
+            (classical.vertex, classical.eccentricity)
+        );
         assert!(p.sweeps >= 1 && p.levels >= p.eccentricity && p.eccentricity >= 1);
     }
 
@@ -1339,7 +1289,7 @@ mod tests {
         // Out of range: identical to George–Liu.
         let reference = {
             let mut rt = SerialBackend::new(&a);
-            drive_cm_directed(&mut rt, LabelingMode::PerLevel, ExpandDirection::Push);
+            george_liu(&mut rt, ExpandDirection::Push);
             rt.into_order()
         };
         let mut rt = SerialBackend::new(&a);
@@ -1356,7 +1306,7 @@ mod tests {
     #[test]
     fn rcm_with_backend_directed_agrees_across_kinds_and_directions() {
         let a = path(23);
-        let expect = rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+        let expect = engine_rcm(&a, BackendKind::Serial, ExpandDirection::Push);
         for direction in [
             ExpandDirection::Push,
             ExpandDirection::Pull,
@@ -1373,7 +1323,7 @@ mod tests {
                 },
             ] {
                 assert_eq!(
-                    rcm_with_backend_directed(&a, kind, direction),
+                    engine_rcm(&a, kind, direction),
                     expect,
                     "{} diverged under {}",
                     kind.name(),

@@ -2,12 +2,11 @@
 //!
 //! The paper positions RCM as a *preprocessing* step that runs in front of
 //! every iterative solve (§I), which in production means ordering a stream
-//! of matrices, not one. Every per-call entry point
-//! ([`crate::algebraic_rcm`], [`crate::par_rcm`], [`crate::dist_rcm`],
-//! [`crate::rcm_with_backend`]) pays the full backend construction on each
-//! call — dense companions, SpMSpV accumulators, and (for the pooled
-//! backend) the worker threads themselves. The engine amortizes all of it
-//! across calls and across matrices:
+//! of matrices, not one. The engine is the one way into the ordering
+//! pipeline on every backend: it owns the backend's construction — dense
+//! companions, SpMSpV accumulators, and (for the pooled backend) the worker
+//! threads themselves — and amortizes all of it across calls and across
+//! matrices:
 //!
 //! ```text
 //! OrderingEngine::new(EngineConfig)      construct: allocate nothing,
@@ -18,8 +17,8 @@
 //!        │                               a small matrix after a huge one
 //!        │                               reuses memory, no realloc
 //!        ▼
-//! drive:  drive_cm over the reinstalled  the one generic Algorithm 3/4
-//!        │ runtime                       pipeline of [`crate::driver`]
+//! drive:  drive_cm_with over the        the one generic Algorithm 3/4
+//!        │ reinstalled runtime           pipeline of [`crate::driver`]
 //!        ▼
 //! report: OrderingReport                 permutation + bandwidth before/
 //!                                        after + DriverStats + timing
@@ -30,9 +29,14 @@
 //! ordered **whole, one per worker** (the pool's batch job), while large
 //! matrices take the usual level-parallel path — the policy is by matrix
 //! size ([`EngineConfig::batch_small_cutoff`]). Either way every
-//! permutation is bit-identical to the corresponding single-shot
-//! [`crate::rcm_with_backend`] call; the cross-backend equivalence suite
-//! extends over warm reuse.
+//! permutation is bit-identical to ordering the matrix on a fresh engine;
+//! the cross-backend equivalence suite extends over warm reuse.
+//!
+//! The library reads no environment variables: [`EngineConfig::builder`]
+//! defaults to the adaptive direction policy and the George–Liu start
+//! node. Binaries and test harnesses that want the `RCM_DIRECTION` /
+//! `RCM_START_NODE` overrides start from [`EngineConfig::from_env`]
+//! instead.
 //!
 //! # Worked example: one warm engine, many matrices
 //!
@@ -65,7 +69,7 @@
 //! assert_eq!(engine.orderings(), 3);
 //! ```
 
-use crate::backends::{DistBackend, HybridBackend, SerialBackend, SerialWorkspace};
+use crate::backends::{DistBackend, HybridBackend, PooledBackend, SerialBackend, SerialWorkspace};
 use crate::compress::{rcm_compressed, CompressStats};
 use crate::distributed::{DistRcmConfig, DistRcmResult, SortMode};
 use crate::driver::{
@@ -146,7 +150,8 @@ pub struct EngineConfig {
     /// Full distributed run configuration (machine model, balance seed,
     /// sort mode) for the dist/hybrid backends. `None` = the Edison model
     /// with the paper's defaults, derived from `backend`. The engine's
-    /// `backend` and `direction` fields stay authoritative either way.
+    /// `backend`, `direction` and `start_node` fields stay authoritative
+    /// either way ([`EngineConfigBuilder::dist`] sets `backend` to match).
     pub dist: Option<DistRcmConfig>,
     /// Batch-mode size policy: matrices with fewer rows than this are
     /// ordered whole, one per pool worker, instead of level-parallel.
@@ -178,16 +183,16 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Start building a configuration. Defaults: serial backend, direction
-    /// from `RCM_DIRECTION`, start node from `RCM_START_NODE`, no
+    /// Start building a configuration. Defaults: serial backend, the
+    /// adaptive direction policy, the George–Liu start node, no
     /// compression, paper-default distributed model, batch cutoff from the
-    /// pool, no cache.
+    /// pool, no cache. The environment is never consulted.
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig {
                 backend: BackendKind::Serial,
-                direction: ExpandDirection::from_env(),
-                start_node: StartNode::from_env(),
+                direction: ExpandDirection::Adaptive,
+                start_node: StartNode::GeorgeLiu,
                 compress: false,
                 dist: None,
                 batch_small_cutoff: None,
@@ -197,20 +202,24 @@ impl EngineConfig {
         }
     }
 
-    /// Defaults for a backend: direction from `RCM_DIRECTION`, no
-    /// compression, paper-default distributed model, cutoff from the pool.
-    #[deprecated(note = "use `EngineConfig::builder().backend(..).build()`")]
-    pub fn new(backend: BackendKind) -> Self {
-        EngineConfig::builder().backend(backend).build()
-    }
-
-    /// A backend with an explicit direction policy.
-    #[deprecated(note = "use `EngineConfig::builder().backend(..).direction(..).build()`")]
-    pub fn directed(backend: BackendKind, direction: ExpandDirection) -> Self {
-        EngineConfig::builder()
-            .backend(backend)
-            .direction(direction)
-            .build()
+    /// Start building from the process environment: the
+    /// [`EngineConfig::builder`] defaults, with the direction policy taken
+    /// from `RCM_DIRECTION` (`push`, `pull`, `adaptive`, `alternate`) and
+    /// the start-node strategy from `RCM_START_NODE` (`george-liu`,
+    /// `bi-criteria`, `min-degree`, `fixed:N`) when set to a recognized
+    /// value. The only place the library reads either variable — the CLI
+    /// and the test harnesses opt in here, and CI sweeps both to enforce
+    /// bit-identical orderings.
+    pub fn from_env() -> EngineConfigBuilder {
+        let var = |name: &str| std::env::var(name).ok();
+        let mut builder = EngineConfig::builder();
+        if let Some(direction) = var("RCM_DIRECTION").and_then(|s| ExpandDirection::parse(&s)) {
+            builder = builder.direction(direction);
+        }
+        if let Some(start_node) = var("RCM_START_NODE").and_then(|s| StartNode::parse(&s)) {
+            builder = builder.start_node(start_node);
+        }
+        builder
     }
 }
 
@@ -257,9 +266,26 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Supply a full distributed run configuration for the dist/hybrid
-    /// backends (machine model, balance seed, sort mode).
+    /// Run on the simulated distributed runtime under a full
+    /// configuration (machine model, balance seed, sort mode). The backend
+    /// follows `dist.hybrid`: [`BackendKind::Hybrid`] when
+    /// `threads_per_proc > 1`, flat [`BackendKind::Dist`] otherwise — the
+    /// data path, and therefore the permutation, is identical either way.
+    /// Panics at the first ordering when the process count is not a
+    /// perfect square (the paper's CombBLAS restriction, §V-A).
     pub fn dist(mut self, dist: DistRcmConfig) -> Self {
+        let HybridConfig {
+            cores,
+            threads_per_proc,
+        } = dist.hybrid;
+        self.config.backend = if threads_per_proc > 1 {
+            BackendKind::Hybrid {
+                cores,
+                threads_per_proc,
+            }
+        } else {
+            BackendKind::Dist { cores }
+        };
         self.config.dist = Some(dist);
         self
     }
@@ -346,13 +372,13 @@ impl OrderingReport {
 }
 
 /// The permutation and execution record of one ordering, before quality
-/// metrics — what the thin per-call shims need.
-pub(crate) struct RawOrdering {
-    pub(crate) perm: Permutation,
-    pub(crate) stats: DriverStats,
-    pub(crate) parallel_levels: usize,
-    pub(crate) sim: Option<DistRcmResult>,
-    pub(crate) compress: Option<CompressStats>,
+/// metrics.
+struct RawOrdering {
+    perm: Permutation,
+    stats: DriverStats,
+    parallel_levels: usize,
+    sim: Option<DistRcmResult>,
+    compress: Option<CompressStats>,
 }
 
 /// A long-lived ordering session: one instance of the configured backend
@@ -552,9 +578,8 @@ impl OrderingEngine {
             .collect()
     }
 
-    /// One ordering on the warm backend, without quality metrics — the
-    /// body of [`OrderingEngine::order`] and of the thin per-call shims.
-    pub(crate) fn order_raw(&mut self, a: &CscMatrix) -> RawOrdering {
+    /// One ordering on the warm backend, without quality metrics.
+    fn order_raw(&mut self, a: &CscMatrix) -> RawOrdering {
         self.orderings += 1;
         if self.config.compress {
             let (perm, stats) = rcm_compressed(a);
@@ -594,12 +619,8 @@ impl OrderingEngine {
             }
             BackendKind::Pooled { .. } => {
                 let pool = self.pool.as_mut().expect("pooled engine owns a pool");
-                let (cm, stats, parallel_levels) = crate::shared::pooled_cm_raw(
-                    a,
-                    pool,
-                    self.config.direction,
-                    self.config.start_node,
-                );
+                let (cm, stats, parallel_levels) =
+                    pooled_cm_raw(a, pool, self.config.direction, self.config.start_node);
                 RawOrdering {
                     perm: cm.reversed(),
                     stats,
@@ -609,19 +630,10 @@ impl OrderingEngine {
                 }
             }
             BackendKind::Dist { .. } | BackendKind::Hybrid { .. } => {
-                let result = self.order_dist(a);
+                let result = self.order_dist(a, self.config.start_node);
                 RawOrdering {
                     perm: result.perm.clone(),
-                    stats: DriverStats {
-                        components: result.components,
-                        peripheral_bfs: result.peripheral_bfs,
-                        levels: result.levels,
-                        spmspv_work: 0,
-                        push_expands: result.push_expands,
-                        pull_expands: result.pull_expands,
-                        level_stats: result.level_stats.clone(),
-                        peripheral_stats: result.peripheral_stats.clone(),
-                    },
+                    stats: result.driver_stats(),
                     parallel_levels: 0,
                     sim: Some(result),
                     compress: None,
@@ -748,7 +760,7 @@ impl OrderingEngine {
                 }
                 for (c, slot) in results.iter_mut().enumerate() {
                     if slot.is_none() {
-                        let (cm, stats, levels) = crate::shared::pooled_cm_raw(
+                        let (cm, stats, levels) = pooled_cm_raw(
                             &pieces[c].matrix,
                             pool,
                             self.config.direction,
@@ -761,18 +773,8 @@ impl OrderingEngine {
             }
             BackendKind::Dist { .. } | BackendKind::Hybrid { .. } => {
                 for (c, piece) in pieces.iter().enumerate() {
-                    let result = self.order_dist_with(&piece.matrix, piece_strategy[c]);
-                    let stats = DriverStats {
-                        components: result.components,
-                        peripheral_bfs: result.peripheral_bfs,
-                        levels: result.levels,
-                        spmspv_work: 0,
-                        push_expands: result.push_expands,
-                        pull_expands: result.pull_expands,
-                        level_stats: result.level_stats.clone(),
-                        peripheral_stats: result.peripheral_stats.clone(),
-                    };
-                    results[c] = Some((result.perm.reversed(), stats));
+                    let result = self.order_dist(&piece.matrix, piece_strategy[c]);
+                    results[c] = Some((result.perm.reversed(), result.driver_stats()));
                 }
             }
         }
@@ -817,16 +819,10 @@ impl OrderingEngine {
         }
     }
 
-    /// One ordering on the warm dist/hybrid backend, returning the full
-    /// simulated result directly — the [`crate::dist_rcm`] shim's body,
-    /// which needs no second copy of the permutation or level trace.
-    pub(crate) fn order_dist(&mut self, a: &CscMatrix) -> DistRcmResult {
-        self.order_dist_with(a, self.config.start_node)
-    }
-
-    /// [`OrderingEngine::order_dist`] under an explicit start-node strategy
-    /// (the split path orders pieces under per-piece strategies).
-    fn order_dist_with(&mut self, a: &CscMatrix, start_node: StartNode) -> DistRcmResult {
+    /// One ordering on the warm dist/hybrid backend under an explicit
+    /// start-node strategy (the split path orders pieces under per-piece
+    /// strategies), returning the full simulated result.
+    fn order_dist(&mut self, a: &CscMatrix, start_node: StartNode) -> DistRcmResult {
         let mut dcfg = self.dist_config();
         dcfg.start_node = start_node;
         let mode = if dcfg.sort_mode == SortMode::GlobalSortAtEnd {
@@ -877,18 +873,35 @@ impl OrderingEngine {
     }
 }
 
-/// Run `a` once through a fresh single-use engine — the per-call shims'
-/// body ([`crate::algebraic_rcm`], [`crate::par_rcm`], [`crate::dist_rcm`],
-/// [`crate::rcm_with_backend`] all route here).
-pub(crate) fn order_once(config: EngineConfig, a: &CscMatrix) -> RawOrdering {
-    OrderingEngine::new(config).order_raw(a)
+/// One warm Cuthill-McKee ordering on the engine's pool, returning the
+/// full [`DriverStats`] and the parallel-expansion count — the
+/// level-parallel path of the pooled backend. The degree vector comes from
+/// the pool's warm buffer ([`RcmPool::run_warm`]), so a reused pool
+/// performs no steady-state install allocation.
+pub(crate) fn pooled_cm_raw(
+    a: &CscMatrix,
+    pool: &mut RcmPool,
+    direction: ExpandDirection,
+    start_node: StartNode,
+) -> (Permutation, DriverStats, usize) {
+    assert_eq!(a.n_rows(), a.n_cols());
+    pool.run_warm(a, |exec, ws| {
+        let mut rt = PooledBackend::new(exec, ws);
+        let stats = drive_cm_with(&mut rt, LabelingMode::PerLevel, direction, &start_node);
+        let (perm, parallel_levels) = rt.into_cm_permutation();
+        (perm, stats, parallel_levels)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::rcm_with_backend;
     use rcm_sparse::{CooBuilder, Vidx};
+
+    /// `a`'s permutation from a fresh single-use engine on `kind`.
+    fn single_shot(a: &CscMatrix, kind: BackendKind) -> Permutation {
+        OrderingEngine::with_backend(kind).order(a).perm
+    }
 
     use crate::testutil::scrambled_grid;
 
@@ -913,7 +926,7 @@ mod tests {
                 let report = engine.order(a);
                 assert_eq!(
                     report.perm,
-                    rcm_with_backend(a, kind),
+                    single_shot(a, kind),
                     "{} engine diverged on matrix {i}",
                     kind.name()
                 );
@@ -922,6 +935,36 @@ mod tests {
             }
             assert_eq!(engine.orderings(), mats.len());
         }
+    }
+
+    #[test]
+    fn dist_builder_selects_flat_or_hybrid_from_the_core_layout() {
+        let flat = EngineConfig::builder()
+            .dist(DistRcmConfig::flat_on_edison(16))
+            .build();
+        assert_eq!(flat.backend, BackendKind::Dist { cores: 16 });
+        let hybrid = EngineConfig::builder()
+            .dist(DistRcmConfig::hybrid_on_edison(24))
+            .build();
+        assert_eq!(
+            hybrid.backend,
+            BackendKind::Hybrid {
+                cores: 24,
+                threads_per_proc: 6
+            }
+        );
+        // The simulated run honors the supplied model and matches the
+        // backend the builder selected.
+        let a = scrambled_grid(9, 5);
+        let mut balanced = DistRcmConfig::flat_on_edison(4);
+        balanced.balance_seed = Some(7);
+        let report = OrderingEngine::new(EngineConfig::builder().dist(balanced).build()).order(&a);
+        let sim = report.sim.expect("dist orderings carry a sim result");
+        assert_eq!(sim.threads_per_proc, 1);
+        assert_eq!(sim.grid_side, 2);
+        let hybrid_report = OrderingEngine::new(hybrid).order(&a);
+        assert_eq!(hybrid_report.perm, single_shot(&a, BackendKind::Serial));
+        assert_eq!(hybrid_report.sim.map(|s| s.threads_per_proc), Some(6));
     }
 
     #[test]
@@ -987,7 +1030,7 @@ mod tests {
         for (i, (a, report)) in mats.iter().zip(&reports).enumerate() {
             assert_eq!(
                 report.perm,
-                rcm_with_backend(a, kind),
+                single_shot(a, kind),
                 "batch slot {i} diverged from single-shot"
             );
             assert_eq!(report.n, a.n_rows());
@@ -1019,7 +1062,7 @@ mod tests {
         assert_eq!(reports[0].cache, Some(crate::service::CacheOutcome::Hit));
         assert_eq!(reports[1].cache, Some(crate::service::CacheOutcome::Miss));
         assert_eq!(reports[2].cache, Some(crate::service::CacheOutcome::Hit));
-        assert_eq!(reports[1].perm, rcm_with_backend(&b, BackendKind::Serial));
+        assert_eq!(reports[1].perm, single_shot(&b, BackendKind::Serial));
         let stats = engine.cache_stats().expect("cache configured");
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 2);
@@ -1073,7 +1116,7 @@ mod tests {
                 threads_per_proc: 6,
             },
         ] {
-            let sequential = rcm_with_backend(&a, kind);
+            let sequential = single_shot(&a, kind);
             let mut engine = OrderingEngine::new(
                 EngineConfig::builder()
                     .backend(kind)
@@ -1090,10 +1133,7 @@ mod tests {
             assert_eq!(report.stats.components, 4);
             // A connected matrix takes the ordinary path under the flag.
             let connected = scrambled_grid(6, 7);
-            assert_eq!(
-                engine.order(&connected).perm,
-                rcm_with_backend(&connected, kind)
-            );
+            assert_eq!(engine.order(&connected).perm, single_shot(&connected, kind));
         }
     }
 

@@ -2,29 +2,28 @@
 //! distributed-memory (the reproduction target: Azad, Jacquelin, Buluç, Ng,
 //! *The Reverse Cuthill-McKee Algorithm in Distributed-Memory*, IPDPS 2017).
 //!
-//! Four interchangeable implementations, all returning a validated
-//! [`Permutation`] mapping old vertex ids to new
-//! labels:
+//! There is one ordering pipeline and one way into it. [`driver::drive_cm_with`]
+//! writes the pseudo-peripheral search, level-synchronous BFS, and labeling
+//! `SORTPERM` once over the Table-I primitives trait [`driver::RcmRuntime`];
+//! an [`OrderingEngine`] configured by an [`EngineConfig`] runs it on one of
+//! four backends and reports the permutation with its [`DriverStats`]:
 //!
-//! | module | algorithm | use case |
+//! | [`BackendKind`] | runtime | use case |
 //! |---|---|---|
-//! | [`serial`] | classical George–Liu RCM (Algorithm 1) | reference / small matrices |
-//! | [`algebraic`] | matrix-algebraic RCM (Algorithms 3–4) | the distributed algorithm's specification |
-//! | [`shared`] | multithreaded level-synchronous RCM | SpMP-style baseline of Table II |
-//! | [`distributed`] | 2D-decomposed RCM on the simulated runtime | the paper's contribution (Figs. 4–6) |
+//! | `Serial` | sequential `rcm-sparse` vectors (Algorithms 3–4) | the distributed algorithm's specification |
+//! | `Pooled { threads }` | work-stealing thread pool ([`pool`]) | SpMP-style baseline of Table II |
+//! | `Dist { cores }` | 2D-decomposed simulated runtime, flat MPI | the paper's contribution (Figs. 4–5) |
+//! | `Hybrid { cores, threads_per_proc }` | the same, MPI × OpenMP | Fig. 6 ([`EngineConfigBuilder::dist`]) |
 //!
-//! All of the algebraic entry points are thin shims over **one** generic
-//! pipeline: [`driver::drive_cm`] writes the pseudo-peripheral search,
-//! level-synchronous BFS, and labeling `SORTPERM` once over the Table-I
-//! primitives trait [`driver::RcmRuntime`], and the four backends in
-//! [`backends`] (serial, pooled, distributed, hybrid) supply the
-//! primitives. All implementations produce *identical* orderings (ties
+//! The classical George–Liu RCM of [`serial`] (Algorithm 1) stays as the
+//! independent test oracle, and [`rcm`] is the convenience call for
+//! single-machine use. All backends produce *identical* orderings (ties
 //! broken by vertex id); the distributed ones match exactly whenever no
 //! load-balance permutation is applied. This cross-backend equality is the
 //! backbone of the test suite.
 //!
 //! ```
-//! use rcm_core::rcm;
+//! use rcm_core::{rcm, EngineConfig, OrderingEngine};
 //! use rcm_sparse::CooBuilder;
 //!
 //! // A path graph with scrambled vertex numbering.
@@ -36,9 +35,14 @@
 //! let perm = rcm(&a);
 //! let reordered = a.permute_sym(&perm);
 //! assert_eq!(rcm_sparse::matrix_bandwidth(&reordered), 1);
+//!
+//! // The same ordering from a warm engine, with its execution record.
+//! let mut engine = OrderingEngine::new(EngineConfig::builder().threads(2).build());
+//! let report = engine.order(&a);
+//! assert_eq!(report.perm, perm);
+//! assert_eq!(report.stats.components, 1);
 //! ```
 
-pub mod algebraic;
 pub mod backends;
 pub mod compress;
 pub mod distributed;
@@ -49,20 +53,16 @@ pub mod pool;
 pub mod quality;
 pub mod serial;
 pub mod service;
-pub mod shared;
 pub mod sloan;
 pub mod unordered;
 
-pub use algebraic::{
-    algebraic_cm, algebraic_cm_directed, algebraic_rcm, algebraic_rcm_directed, AlgebraicStats,
-};
 pub use backends::{DistBackend, HybridBackend, PooledBackend, SerialBackend, SerialWorkspace};
 pub use compress::{find_supervariables, rcm_compressed, CompressStats};
-pub use distributed::{dist_rcm, DistRcmConfig, DistRcmResult, LevelStat, SortMode};
+pub use distributed::{DistRcmConfig, DistRcmResult, LevelStat, SortMode};
 pub use driver::{
-    drive_cm, drive_cm_directed, drive_cm_with, rcm_with_backend, rcm_with_backend_directed,
-    BackendKind, DenseTarget, DriverStats, ExpandDirection, LabelingMode, PeripheralStat,
-    RcmRuntime, StartNode, StartNodeStrategy, BI_CRITERIA_GAIN_DIV, PULL_ALPHA, PULL_BETA,
+    drive_cm_with, BackendKind, DenseTarget, DriverStats, ExpandDirection, LabelingMode,
+    PeripheralStat, RcmRuntime, StartNode, StartNodeStrategy, BI_CRITERIA_GAIN_DIV, PULL_ALPHA,
+    PULL_BETA,
 };
 pub use engine::{
     CacheConfig, EngineConfig, EngineConfigBuilder, OrderingEngine, OrderingReport,
@@ -76,14 +76,10 @@ pub use pool::{
 pub use quality::{
     ordering_bandwidth, ordering_profile, ordering_wavefront, quality_report, OrderingQuality,
 };
-pub use serial::{cuthill_mckee, rcm_from_root, SerialRcmStats};
+pub use serial::{cuthill_mckee, rcm_from_root};
 pub use service::{
     CacheOutcome, CacheStats, CachedOrdering, JobHandle, OrderingRequest, OrderingService,
     PatternCache, ServiceConfig, ServiceStats,
-};
-pub use shared::{
-    par_cuthill_mckee, par_cuthill_mckee_with_pool, par_cuthill_mckee_with_pool_directed, par_rcm,
-    par_rcm_directed, SharedRcmStats,
 };
 pub use sloan::{sloan, sloan_with_weights, SloanWeights};
 pub use unordered::{rcm_globalsort, rcm_nosort};
@@ -94,7 +90,7 @@ use rcm_sparse::{CscMatrix, Permutation};
 /// with the sequential George–Liu algorithm (the right default for
 /// single-machine use).
 pub fn rcm(a: &CscMatrix) -> Permutation {
-    serial::rcm(a).0
+    serial::rcm(a)
 }
 
 /// Shared test fixtures (one copy instead of one per test module).

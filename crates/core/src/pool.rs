@@ -1,5 +1,5 @@
 //! Work-stealing shared-memory execution backend for the level-synchronous
-//! RCM of [`crate::shared`].
+//! RCM of [`crate::backends::PooledBackend`].
 //!
 //! The original backend split each frontier statically into `nthreads`
 //! contiguous chunks and spawned fresh OS threads *per level*, so one heavy
@@ -201,6 +201,10 @@ enum JobKind {
     /// Whole sequential orderings, claimed one matrix at a time
     /// ([`RcmPool::order_cm_batch`]).
     Batch,
+    /// Nothing to run: the state before the first post and after a test
+    /// epoch jump. A worker that sees a new epoch with this job only
+    /// records the epoch — it never dereferences the empty job slot.
+    Idle,
 }
 
 /// Coordinator→worker task descriptor plus the completion count.
@@ -404,10 +408,7 @@ impl RcmPool {
             gate: Gate {
                 state: Mutex::new(GateState {
                     epoch: 0,
-                    job: JobKind::Level {
-                        base_label: 0,
-                        pull: false,
-                    },
+                    job: JobKind::Idle,
                     shutdown: false,
                     done: 0,
                     panic: None,
@@ -458,7 +459,9 @@ impl RcmPool {
     /// cannot post 2³² real jobs.
     #[cfg(test)]
     fn set_epoch_for_test(&self, epoch: u64) {
-        self.shared.lock_gate().epoch = epoch;
+        let mut st = self.shared.lock_gate();
+        st.epoch = epoch;
+        st.job = JobKind::Idle;
     }
 
     /// Times any install-managed arena (visited set, pull-label array,
@@ -875,7 +878,9 @@ fn worker_loop(shared: &PoolShared, tid: usize) {
                 }
                 if st.epoch != last_epoch {
                     last_epoch = st.epoch;
-                    break st.job;
+                    if !matches!(st.job, JobKind::Idle) {
+                        break st.job;
+                    }
                 }
                 st = shared
                     .gate
@@ -895,6 +900,7 @@ fn worker_loop(shared: &PoolShared, tid: usize) {
                 &mut cursors,
             ),
             JobKind::Batch => run_batch_share(shared, &mut batch_ws),
+            JobKind::Idle => unreachable!("idle posts are skipped at the gate"),
         };
         let mut st = shared.lock_gate();
         if let Err(payload) = outcome {
@@ -1416,10 +1422,7 @@ mod tests {
             scrambled_grid(11, 13),
         ];
         let refs: Vec<&CscMatrix> = mats.iter().collect();
-        let expect: Vec<Permutation> = mats
-            .iter()
-            .map(|a| crate::serial::cuthill_mckee(a).0)
-            .collect();
+        let expect: Vec<Permutation> = mats.iter().map(crate::serial::cuthill_mckee).collect();
         for nthreads in [1usize, 2, 3, 8] {
             let mut pool = RcmPool::new(PoolConfig::new(nthreads));
             // Two rounds through the same warm pool: batch state must not

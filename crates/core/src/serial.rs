@@ -13,26 +13,19 @@
 //! Graphs with several connected components are handled George–Liu style:
 //! each new component starts from a pseudo-peripheral vertex found from the
 //! unnumbered vertex of minimum degree.
+//!
+//! This module is independent of the algebraic driver and serves as the
+//! test oracle every [`crate::OrderingEngine`] backend is checked against;
+//! execution statistics come from the engine's [`crate::DriverStats`].
 
 use crate::peripheral::pseudo_peripheral_with_degrees;
 use rcm_sparse::{CscMatrix, Permutation, Vidx};
 
-/// Statistics of a sequential CM/RCM run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SerialRcmStats {
-    /// Connected components processed.
-    pub components: usize,
-    /// Total BFS sweeps spent finding pseudo-peripheral vertices.
-    pub peripheral_bfs: usize,
-    /// Levels traversed in the numbering passes (sum over components).
-    pub levels: usize,
-}
-
 /// Cuthill-McKee ordering of a symmetric pattern matrix.
 ///
-/// Returns the permutation mapping old vertex ids to new labels, plus run
-/// statistics. Reverse it (`.reversed()`) for RCM.
-pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
+/// Returns the permutation mapping old vertex ids to new labels. Reverse it
+/// (`.reversed()`) for RCM.
+pub fn cuthill_mckee(a: &CscMatrix) -> Permutation {
     assert_eq!(
         a.n_rows(),
         a.n_cols(),
@@ -42,7 +35,6 @@ pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
     let degrees = a.degrees();
     let mut label_of = vec![Vidx::MAX; n];
     let mut order: Vec<Vidx> = Vec::with_capacity(n);
-    let mut stats = SerialRcmStats::default();
     // Scratch reused across components.
     let mut children: Vec<Vidx> = Vec::new();
 
@@ -64,17 +56,12 @@ pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
         // pathological orders; keep the scan start conservative.
         next_component_scan = 0;
         let seed = seed.expect("unlabeled vertex must exist");
-        let pp = pseudo_peripheral_with_degrees(a, seed, &degrees);
-        stats.components += 1;
-        stats.peripheral_bfs += pp.bfs_count;
-
         // Number the component from the pseudo-peripheral root.
-        let root = pp.vertex;
+        let root = pseudo_peripheral_with_degrees(a, seed, &degrees).vertex;
         let comp_start = order.len();
         label_of[root as usize] = comp_start as Vidx;
         order.push(root);
         let mut head = comp_start;
-        let mut level_marker = order.len();
         while head < order.len() {
             let v = order[head];
             head += 1;
@@ -92,22 +79,14 @@ pub fn cuthill_mckee(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
                 label_of[w as usize] = order.len() as Vidx;
                 order.push(w);
             }
-            if head == level_marker && order.len() > level_marker {
-                stats.levels += 1;
-                level_marker = order.len();
-            }
         }
     }
-    (
-        Permutation::from_order(&order).expect("CM visits each vertex exactly once"),
-        stats,
-    )
+    Permutation::from_order(&order).expect("CM visits each vertex exactly once")
 }
 
 /// Reverse Cuthill-McKee ordering: [`cuthill_mckee`] with labels reversed.
-pub fn rcm(a: &CscMatrix) -> (Permutation, SerialRcmStats) {
-    let (cm, stats) = cuthill_mckee(a);
-    (cm.reversed(), stats)
+pub fn rcm(a: &CscMatrix) -> Permutation {
+    cuthill_mckee(a).reversed()
 }
 
 /// RCM rooted at a caller-supplied vertex (skips the pseudo-peripheral
@@ -161,7 +140,16 @@ pub fn rcm_from_root(a: &CscMatrix, root: Vidx) -> Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackendKind, OrderingEngine};
     use rcm_sparse::{envelope_size, matrix_bandwidth, CooBuilder};
+
+    /// Components the engine's driver counted on `a`, after checking that
+    /// it produced the oracle's permutation.
+    fn engine_components(a: &CscMatrix) -> usize {
+        let report = OrderingEngine::with_backend(BackendKind::Serial).order(a);
+        assert_eq!(report.perm, rcm(a));
+        report.stats.components
+    }
 
     fn path(n: usize) -> CscMatrix {
         let mut b = CooBuilder::new(n, n);
@@ -184,16 +172,16 @@ mod tests {
     fn rcm_restores_path_bandwidth() {
         let a = shuffled_path(50);
         assert!(matrix_bandwidth(&a) > 1);
-        let (p, stats) = rcm(&a);
+        let p = rcm(&a);
         let pa = a.permute_sym(&p);
         assert_eq!(matrix_bandwidth(&pa), 1);
-        assert_eq!(stats.components, 1);
+        assert_eq!(engine_components(&a), 1);
     }
 
     #[test]
     fn rcm_is_valid_permutation() {
         let a = shuffled_path(23);
-        let (p, _) = rcm(&a);
+        let p = rcm(&a);
         assert_eq!(p.len(), 23);
         // Permutation type guarantees bijectivity; double-check round trip.
         assert_eq!(p.then(&p.inverse()), Permutation::identity(23));
@@ -202,9 +190,7 @@ mod tests {
     #[test]
     fn rcm_is_reverse_of_cm() {
         let a = shuffled_path(31);
-        let (cm, _) = cuthill_mckee(&a);
-        let (rcm_p, _) = rcm(&a);
-        assert_eq!(cm.reversed(), rcm_p);
+        assert_eq!(cuthill_mckee(&a).reversed(), rcm(&a));
     }
 
     #[test]
@@ -218,9 +204,9 @@ mod tests {
         b.push_sym(4, 5);
         b.push_sym(3, 5);
         let a = b.build();
-        let (p, stats) = rcm(&a);
+        let p = rcm(&a);
         assert_eq!(p.len(), 9);
-        assert_eq!(stats.components, 5);
+        assert_eq!(engine_components(&a), 5);
         let pa = a.permute_sym(&p);
         // Each component stays contiguous → bandwidth ≤ 2 (triangle width).
         assert!(matrix_bandwidth(&pa) <= 2);
@@ -229,19 +215,17 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let a = CscMatrix::empty(0);
-        let (p, _) = rcm(&a);
-        assert_eq!(p.len(), 0);
+        assert_eq!(rcm(&a).len(), 0);
         let a1 = CscMatrix::empty(1);
-        let (p1, s1) = rcm(&a1);
-        assert_eq!(p1.len(), 1);
-        assert_eq!(s1.components, 1);
+        assert_eq!(rcm(&a1).len(), 1);
+        assert_eq!(engine_components(&a1), 1);
     }
 
     #[test]
     fn rcm_never_increases_path_profile() {
         let a = shuffled_path(40);
         let before = envelope_size(&a);
-        let (p, _) = rcm(&a);
+        let p = rcm(&a);
         let after = envelope_size(&a.permute_sym(&p));
         assert!(after <= before, "profile {before} -> {after}");
     }
@@ -278,7 +262,7 @@ mod tests {
             .collect();
         let shuffled = a.permute_sym(&Permutation::from_new_of_old(perm).unwrap());
         let bw_shuffled = matrix_bandwidth(&shuffled);
-        let (p, _) = rcm(&shuffled);
+        let p = rcm(&shuffled);
         let bw_rcm = matrix_bandwidth(&shuffled.permute_sym(&p));
         assert!(bw_rcm <= 2 * w, "RCM bandwidth {bw_rcm} vs grid width {w}");
         assert!(

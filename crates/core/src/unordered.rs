@@ -5,12 +5,15 @@
 //! * [`rcm_nosort`] — plain FIFO BFS: children are labeled in adjacency
 //!   order, skipping the per-level degree sort entirely.
 //! * [`rcm_globalsort`] — BFS records levels only; one global sort keyed by
-//!   `(level, degree, vertex)` assigns all labels at the end.
+//!   `(level, degree, vertex)` assigns each component's labels at the end
+//!   (the generic driver's [`LabelingMode::GlobalAtEnd`]).
 //!
 //! Distributed counterparts live in
 //! [`SortMode`](crate::distributed::SortMode); the `repro -- ablation`
 //! experiment compares bandwidth and simulated time across all variants.
 
+use crate::backends::SerialBackend;
+use crate::driver::{drive_cm_with, ExpandDirection, LabelingMode, StartNode};
 use crate::peripheral::pseudo_peripheral_with_degrees;
 use rcm_sparse::{CscMatrix, Permutation, Vidx};
 
@@ -46,53 +49,19 @@ pub fn rcm_nosort(a: &CscMatrix) -> Permutation {
         .reversed()
 }
 
-/// RCM with a single global sort at the end: vertices are labeled by
-/// `(component, level, degree, vertex)` lexicographic order, then reversed.
+/// RCM with a single global sort at the end: the generic driver's
+/// [`LabelingMode::GlobalAtEnd`] on the serial backend — each component's
+/// BFS stamps levels only, and one `SORTPERM` keyed by
+/// `(level, degree, vertex)` assigns its labels, reversed at the end.
 pub fn rcm_globalsort(a: &CscMatrix) -> Permutation {
-    assert_eq!(a.n_rows(), a.n_cols());
-    let n = a.n_rows();
-    let degrees = a.degrees();
-    let mut level = vec![-1i64; n];
-    let mut component = vec![-1i64; n];
-    let mut labeled = 0usize;
-    let mut comp = 0i64;
-    while labeled < n {
-        let seed = (0..n)
-            .filter(|&v| level[v] < 0)
-            .min_by_key(|&v| (degrees[v], v as Vidx))
-            .unwrap() as Vidx;
-        let root = pseudo_peripheral_with_degrees(a, seed, &degrees).vertex;
-        // BFS recording levels.
-        level[root as usize] = 0;
-        component[root as usize] = comp;
-        labeled += 1;
-        let mut frontier = vec![root];
-        let mut lvl = 0i64;
-        while !frontier.is_empty() {
-            lvl += 1;
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &w in a.col(v as usize) {
-                    if level[w as usize] < 0 {
-                        level[w as usize] = lvl;
-                        component[w as usize] = comp;
-                        labeled += 1;
-                        next.push(w);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        comp += 1;
-    }
-    let mut keys: Vec<(i64, i64, Vidx, Vidx)> = (0..n)
-        .map(|v| (component[v], level[v], degrees[v], v as Vidx))
-        .collect();
-    keys.sort_unstable();
-    let order: Vec<Vidx> = keys.iter().map(|&(_, _, _, v)| v).collect();
-    Permutation::from_order(&order)
-        .expect("every vertex keyed once")
-        .reversed()
+    let mut rt = SerialBackend::new(a);
+    drive_cm_with(
+        &mut rt,
+        LabelingMode::GlobalAtEnd,
+        ExpandDirection::Adaptive,
+        &StartNode::GeorgeLiu,
+    );
+    rt.into_cm_permutation().reversed()
 }
 
 #[cfg(test)]
@@ -127,7 +96,7 @@ mod tests {
     #[test]
     fn full_sort_is_at_least_as_good_on_grids() {
         let a = scrambled_grid(12, 29);
-        let (full, _) = serial::rcm(&a);
+        let full = serial::rcm(&a);
         let bw_full = ordering_bandwidth(&a, &full);
         let bw_nosort = ordering_bandwidth(&a, &rcm_nosort(&a));
         assert!(bw_full <= bw_nosort, "full {bw_full} vs nosort {bw_nosort}");

@@ -3,10 +3,24 @@
 
 use proptest::prelude::*;
 use rcm_core::{
-    algebraic_rcm, bfs_level_structure, ordering_bandwidth, ordering_profile, par_cuthill_mckee,
-    par_rcm, pseudo_peripheral, rcm, rcm_globalsort, rcm_nosort, sloan, thread_counts_from_env,
+    bfs_level_structure, ordering_bandwidth, ordering_profile, pseudo_peripheral, rcm,
+    rcm_globalsort, rcm_nosort, sloan, thread_counts_from_env, BackendKind, EngineConfig,
+    OrderingEngine,
 };
 use rcm_sparse::{envelope_size, matrix_bandwidth, CooBuilder, CscMatrix, Permutation, Vidx};
+
+/// `a` ordered by a fresh engine on `backend`, under the environment's
+/// direction and start-node overrides (`RCM_DIRECTION`, `RCM_START_NODE`).
+fn engine_rcm(a: &CscMatrix, backend: BackendKind) -> Permutation {
+    OrderingEngine::new(EngineConfig::from_env().backend(backend).build())
+        .order(a)
+        .perm
+}
+
+/// [`engine_rcm`] on the pooled backend at `threads` workers.
+fn pooled_rcm(a: &CscMatrix, threads: usize) -> Permutation {
+    engine_rcm(a, BackendKind::Pooled { threads })
+}
 
 fn build_matrix(n: usize, edges: &[(usize, usize)]) -> CscMatrix {
     let mut b = CooBuilder::new(n, n);
@@ -34,7 +48,7 @@ proptest! {
         // more usefully, that every vertex's label is strictly greater than
         // its parent's (min-labeled neighbour in the previous level).
         let a = build_matrix(n, &edges);
-        let (cm, _) = rcm_core::cuthill_mckee(&a);
+        let cm = rcm_core::cuthill_mckee(&a);
         let labels = cm.as_new_of_old();
         // For each non-root vertex in a component, at least one neighbour
         // must have a smaller label (its parent) — CM grows connected
@@ -90,8 +104,8 @@ proptest! {
         let a = build_matrix(n, &edges);
         for (name, p) in [
             ("rcm", rcm(&a)),
-            ("algebraic", algebraic_rcm(&a).0),
-            ("shared", par_rcm(&a, 2).0),
+            ("algebraic", engine_rcm(&a, BackendKind::Serial)),
+            ("shared", pooled_rcm(&a, 2)),
             ("sloan", sloan(&a)),
             ("nosort", rcm_nosort(&a)),
             ("globalsort", rcm_globalsort(&a)),
@@ -116,12 +130,16 @@ proptest! {
         // sweep via RCM_THREADS.
         let a = build_matrix(n, &edges);
         let expect = rcm(&a);
-        let (expect_cm, _) = rcm_core::cuthill_mckee(&a);
+        let expect_cm = rcm_core::cuthill_mckee(&a);
         for t in thread_counts_from_env(&[1, 3, 8]) {
-            let (got, _) = par_rcm(&a, t);
-            prop_assert_eq!(&got, &expect, "par_rcm diverged at {} threads", t);
-            let (got_cm, _) = par_cuthill_mckee(&a, t);
-            prop_assert_eq!(&got_cm, &expect_cm, "par_cuthill_mckee diverged at {} threads", t);
+            let got = pooled_rcm(&a, t);
+            prop_assert_eq!(&got, &expect, "pooled engine diverged at {} threads", t);
+            prop_assert_eq!(
+                &got.reversed(),
+                &expect_cm,
+                "pooled CM diverged at {} threads",
+                t
+            );
         }
     }
 
@@ -218,7 +236,7 @@ mod par_rcm_degenerate_graphs {
     fn assert_matches_serial(a: &CscMatrix, what: &str) {
         let expect = rcm(a);
         for t in thread_counts_from_env(&[1, 3, 8]) {
-            let (got, _) = par_rcm(a, t);
+            let got = pooled_rcm(a, t);
             assert_eq!(got, expect, "{what}: diverged at {t} threads");
         }
     }

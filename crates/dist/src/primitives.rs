@@ -1,8 +1,8 @@
 //! The paper's Table-I primitives over distributed containers.
 //!
 //! Each primitive computes the *exact* sequential result (the simulation is
-//! data-deterministic: `dist_rcm` must reproduce `algebraic_rcm` bit for
-//! bit) while charging the [`SimClock`] the α–β cost the operation would
+//! data-deterministic: `rcm-core`'s distributed backends must reproduce its
+//! serial backend bit for bit) while charging the [`SimClock`] the α–β cost the operation would
 //! incur on a real 2D-decomposed run:
 //!
 //! * compute = **max over ranks** of local work (that is what wall-clock

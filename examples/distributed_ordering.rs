@@ -38,8 +38,13 @@ fn main() {
     );
     let mut t1 = None;
     for &c in &cores {
-        let cfg = DistRcmConfig::hybrid_on_edison(c);
-        let r = dist_rcm(&a, &cfg);
+        let config = EngineConfig::builder()
+            .dist(DistRcmConfig::hybrid_on_edison(c))
+            .build();
+        let report = OrderingEngine::new(config).order(&a);
+        let r = report
+            .sim
+            .expect("hybrid orderings carry a simulated result");
         let t = r.sim_seconds;
         t1.get_or_insert(t);
         let phases: Vec<String> = Phase::ALL

@@ -22,8 +22,13 @@ fn main() {
 
     let m = suite_matrix(name).expect("unknown suite matrix");
     let a = m.generate(m.default_scale);
-    let cfg = DistRcmConfig::hybrid_on_edison(cores);
-    let r = dist_rcm(&a, &cfg);
+    let config = EngineConfig::builder()
+        .dist(DistRcmConfig::hybrid_on_edison(cores))
+        .build();
+    let report = OrderingEngine::new(config).order(&a);
+    let r = report
+        .sim
+        .expect("hybrid orderings carry a simulated result");
 
     println!(
         "{}: {} rows, {} levels on {} cores ({}x{} grid)\n",

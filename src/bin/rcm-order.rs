@@ -46,9 +46,12 @@
 //! inputs are loaded up front; the first bad file aborts with exit code 2
 //! naming it. `--write-perm`/`--write-matrix` require exactly one input.
 //!
-//! The frontier-expansion direction follows `RCM_DIRECTION`
-//! (push|pull|adaptive, default adaptive); every setting produces the
-//! identical ordering.
+//! The engine configuration starts from `EngineConfig::from_env()`: the
+//! frontier-expansion direction follows `RCM_DIRECTION`
+//! (push|pull|adaptive, default adaptive; every setting produces the
+//! identical ordering) and the start node `RCM_START_NODE`, with the
+//! flags above overriding both. `--simulate` runs through the same
+//! configuration.
 
 use distributed_rcm::core::driver::StartNode;
 use distributed_rcm::core::{
@@ -277,15 +280,18 @@ fn main() {
         .map(|name| (name.clone(), load(name, &opts)))
         .collect();
 
+    // The one configuration source: the environment, then the flags.
+    let mut base = EngineConfig::from_env();
+    if let Some(sn) = opts.start_node {
+        base = base.start_node(sn);
+    }
+
     // One warm engine serves every input of the invocation.
     let mut engine = (opts.method == "rcm").then(|| {
-        let mut builder = EngineConfig::builder()
+        let mut builder = base
             .backend(backend_kind.unwrap_or(BackendKind::Serial))
             .compress(opts.compress)
             .split_components(opts.split);
-        if let Some(sn) = opts.start_node {
-            builder = builder.start_node(sn);
-        }
         if opts.cache {
             builder = builder.cache(CacheConfig::default());
         }
@@ -310,7 +316,7 @@ fn main() {
             None => {
                 let t0 = std::time::Instant::now();
                 let perm = match opts.method.as_str() {
-                    "cm" => cuthill_mckee(a).0,
+                    "cm" => cuthill_mckee(a),
                     "sloan" => sloan(a),
                     "nosort" => rcm_nosort(a),
                     "globalsort" => rcm_globalsort(a),
@@ -330,7 +336,7 @@ fn main() {
             .expect("one of the branches produced a permutation");
 
         let q = quality_report(a, perm);
-        if let Some(report) = &engine_report {
+        if let (Some(report), Some(engine)) = (&engine_report, &engine) {
             let cache_note = match report.cache {
                 Some(CacheOutcome::Hit) => ", cache hit",
                 Some(CacheOutcome::Miss) => ", cache miss",
@@ -360,7 +366,7 @@ fn main() {
                 );
             }
             if let Some(p) = report.peripheral_first() {
-                let strategy = opts.start_node.unwrap_or_else(StartNode::from_env);
+                let strategy = engine.config().start_node;
                 println!(
                     "  peripheral: {} strategy, {} sweep(s), start vertex {}, eccentricity {}",
                     strategy.name(),
@@ -403,12 +409,9 @@ fn main() {
             );
             for &cores in &opts.simulate {
                 let cfg = DistRcmConfig {
-                    machine: MachineModel::edison(),
                     hybrid: HybridConfig::new(cores, opts.threads),
                     balance_seed: Some(1),
-                    sort_mode: SortMode::Full,
-                    direction: ExpandDirection::from_env(),
-                    start_node: opts.start_node.unwrap_or_else(StartNode::from_env),
+                    ..DistRcmConfig::flat_on_edison(cores)
                 };
                 if cfg.hybrid.grid().is_none() {
                     println!(
@@ -417,7 +420,10 @@ fn main() {
                     );
                     continue;
                 }
-                let r = dist_rcm(a, &cfg);
+                let report = OrderingEngine::new(base.dist(cfg).build()).order(a);
+                let r = report
+                    .sim
+                    .expect("dist/hybrid orderings carry a simulated result");
                 println!(
                     "{:>8} {:>4}x{:<2} {:>11.4}s {:>11.4}s {:>9.4}s",
                     cores,

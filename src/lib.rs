@@ -10,9 +10,9 @@
 //! * [`dist`] — the simulated distributed runtime: 2D process grid, α–β
 //!   machine model, collectives, distributed Table-I primitives.
 //! * [`core`] — RCM itself: the generic Table-I driver
-//!   (`core::driver::RcmRuntime` + `core::driver::drive_cm`) with serial,
-//!   pooled, distributed and hybrid backends, plus the classical
-//!   George–Liu implementation.
+//!   (`core::driver::RcmRuntime` + `core::driver::drive_cm_with`) with
+//!   serial, pooled, distributed and hybrid backends behind one
+//!   `OrderingEngine`, plus the classical George–Liu implementation.
 //! * [`solver`] — CG + block-Jacobi/IC(0) and the Fig. 1 time model.
 //!
 //! ## Quickstart
@@ -27,10 +27,12 @@
 //! assert!(report.bandwidth_after < report.bandwidth_before);
 //!
 //! // Simulate the distributed algorithm on 216 cores (6 threads/process).
-//! let cfg = DistRcmConfig::hybrid_on_edison(216);
-//! let result = dist_rcm(&matrix, &cfg);
-//! assert_eq!(result.perm.len(), matrix.n_rows());
-//! println!("simulated time: {:.3}s", result.sim_seconds);
+//! let config = EngineConfig::builder()
+//!     .dist(DistRcmConfig::hybrid_on_edison(216))
+//!     .build();
+//! let report = OrderingEngine::new(config).order(&matrix);
+//! assert_eq!(report.perm, perm);
+//! println!("simulated time: {:.3}s", report.sim_seconds());
 //! ```
 
 pub use rcm_core as core;
@@ -39,17 +41,17 @@ pub use rcm_graphgen as graphgen;
 pub use rcm_solver as solver;
 pub use rcm_sparse as sparse;
 
-/// One-stop imports for applications: the per-call entry points, the warm
-/// engine tier, and the service tier (submit/poll front door, pattern
+/// One-stop imports for applications: the `rcm` convenience call, the
+/// warm engine, and the service tier (submit/poll front door, pattern
 /// cache). Lower-level items (level structures, quality breakdowns, the
 /// simulated runtime's internals) stay behind their modules.
 pub mod prelude {
     pub use rcm_core::{
-        algebraic_rcm, dist_rcm, ordering_bandwidth, par_rcm, quality_report, rcm,
-        rcm_with_backend, sloan, BackendKind, CacheConfig, CacheOutcome, CacheStats, DistRcmConfig,
-        DistRcmResult, EngineConfig, EngineConfigBuilder, ExpandDirection, JobHandle,
-        OrderingEngine, OrderingReport, OrderingRequest, OrderingService, PeripheralStat,
-        RcmRuntime, ServiceConfig, ServiceStats, SortMode, StartNode,
+        ordering_bandwidth, quality_report, rcm, sloan, BackendKind, CacheConfig, CacheOutcome,
+        CacheStats, DistRcmConfig, DistRcmResult, DriverStats, EngineConfig, EngineConfigBuilder,
+        ExpandDirection, JobHandle, OrderingEngine, OrderingReport, OrderingRequest,
+        OrderingService, PeripheralStat, RcmRuntime, ServiceConfig, ServiceStats, SortMode,
+        StartNode,
     };
     pub use rcm_dist::{HybridConfig, MachineModel};
     pub use rcm_graphgen::{suite, suite_matrix, SuiteMatrix};

@@ -620,6 +620,33 @@ fn start_node_flag_reports_the_peripheral_phase() {
 }
 
 #[test]
+fn start_node_env_var_reaches_the_engine_and_the_flag_overrides_it() {
+    // The CLI's one configuration source is `EngineConfig::from_env()` plus
+    // flags: `RCM_START_NODE` selects the strategy the summary reports, and
+    // an explicit `--start-node` wins over it.
+    let run = |extra: &[&str]| {
+        let out = rcm_order()
+            .args(["suite:nd24k", "--scale", "0.005"])
+            .args(extra)
+            .env("RCM_START_NODE", "min-degree")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?} failed");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let from_env = run(&[]);
+    assert!(
+        from_env.contains("peripheral: min-degree strategy, 0 sweep(s)"),
+        "RCM_START_NODE did not reach the engine\n{from_env}"
+    );
+    let overridden = run(&["--start-node", "george-liu"]);
+    assert!(
+        overridden.contains("peripheral: george-liu strategy"),
+        "--start-node did not override RCM_START_NODE\n{overridden}"
+    );
+}
+
+#[test]
 fn start_node_strategies_produce_identical_or_valid_orderings_per_backend() {
     // Per-strategy determinism end to end: the same strategy on every
     // backend must write the identical permutation.

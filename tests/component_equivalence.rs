@@ -1,16 +1,14 @@
 //! Component-parallel equivalence — the bit-identity contract of
 //! `EngineConfig::split_components`: a splitting engine must return
-//! permutations bit-identical to fresh sequential `rcm_with_backend`
-//! orderings on every backend, at every `RCM_THREADS` count (CI sweeps
-//! 1/2/8), across degenerate component structures — empty, all-isolated,
+//! permutations bit-identical to fresh sequential engine orderings on
+//! every backend, at every `RCM_THREADS` count (CI sweeps 1/2/8; configs
+//! start from `EngineConfig::from_env`), across degenerate component structures — empty, all-isolated,
 //! a single giant component, a forest of small trees, a star+path mix —
 //! and on random (frequently disconnected) proptest matrices. Plus the
 //! steady-state check: resplitting matrices the warm splitter has already
 //! seen allocates nothing.
 
-use distributed_rcm::core::{
-    rcm_with_backend, thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine,
-};
+use distributed_rcm::core::thread_counts_from_env;
 use distributed_rcm::graphgen::{forest, multi_body};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
@@ -84,13 +82,15 @@ fn split_engines_match_fresh_sequential_orderings_on_degenerate_inputs() {
             // One warm engine per backend across the whole input list:
             // reuse is part of the contract under test.
             let mut engine = OrderingEngine::new(
-                EngineConfig::builder()
+                EngineConfig::from_env()
                     .backend(kind)
                     .split_components(true)
                     .build(),
             );
             for (name, a) in degenerate_inputs() {
-                let expect = rcm_with_backend(&a, BackendKind::Serial);
+                let expect = OrderingEngine::new(EngineConfig::from_env().build())
+                    .order(&a)
+                    .perm;
                 let got = engine.order(&a).perm;
                 assert_eq!(
                     got, expect,
@@ -105,7 +105,7 @@ fn split_engines_match_fresh_sequential_orderings_on_degenerate_inputs() {
 fn resplitting_warm_inputs_allocates_nothing() {
     for threads in thread_counts_from_env(&[3]) {
         let mut engine = OrderingEngine::new(
-            EngineConfig::builder()
+            EngineConfig::from_env()
                 .backend(BackendKind::Pooled { threads })
                 .split_components(true)
                 .build(),
@@ -133,8 +133,8 @@ proptest! {
 
     /// Random sparse symmetric matrices — with few edges they are usually
     /// disconnected, exercising arbitrary component structures — ordered
-    /// by splitting serial and pooled engines against the plain
-    /// sequential reference.
+    /// by splitting serial and pooled engines against the classical
+    /// George–Liu reference.
     #[test]
     fn split_ordering_equals_sequential_on_random_matrices(
         n in 1usize..40,
@@ -148,7 +148,8 @@ proptest! {
         let expect = rcm(&a);
         for kind in [BackendKind::Serial, BackendKind::Pooled { threads: 2 }] {
             let mut engine = OrderingEngine::new(
-                EngineConfig::builder()
+                EngineConfig::from_env()
+                    .start_node(StartNode::GeorgeLiu)
                     .backend(kind)
                     .split_components(true)
                     .build(),

@@ -1,17 +1,32 @@
 //! Cross-backend integration tests: the four `RcmRuntime` backends run the
-//! *same* generic driver (`rcm_core::driver::drive_cm`) and must therefore
+//! *same* generic driver (`rcm_core::driver::drive_cm_with`) and must therefore
 //! agree bit for bit wherever determinism is guaranteed — on every suite
 //! class and on every degenerate shape — and in quality where internal
 //! relabeling is allowed.
 
-use distributed_rcm::core::{
-    algebraic_rcm, dist_rcm, par_rcm, rcm_with_backend, thread_counts_from_env, BackendKind,
-    DistRcmConfig, SortMode,
-};
-use distributed_rcm::dist::{HybridConfig, MachineModel};
+use distributed_rcm::core::thread_counts_from_env;
 use distributed_rcm::graphgen::suite;
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
+
+/// `a` ordered on a fresh engine over `backend`, under the environment's
+/// direction policy and start node (`RCM_DIRECTION`, `RCM_START_NODE`).
+fn engine_order(a: &CscMatrix, backend: BackendKind) -> OrderingReport {
+    OrderingEngine::new(EngineConfig::from_env().backend(backend).build()).order(a)
+}
+
+/// The simulated run of `a` on a fresh engine under `dist` (George–Liu
+/// start nodes, the environment's direction policy).
+fn simulate(a: &CscMatrix, dist: DistRcmConfig) -> DistRcmResult {
+    let config = EngineConfig::from_env()
+        .start_node(StartNode::GeorgeLiu)
+        .dist(dist)
+        .build();
+    let report = OrderingEngine::new(config).order(a);
+    report
+        .sim
+        .expect("dist/hybrid orderings carry a simulated result")
+}
 
 /// Tiny but structurally faithful instances of every suite class.
 fn tiny_suite() -> Vec<(String, CscMatrix)> {
@@ -75,33 +90,34 @@ fn all_four_backends_agree_bitwise_on_suite_and_degenerates() {
         // algebraic formulation provably matches.
         let expect = rcm(&a);
         assert_eq!(
-            rcm_with_backend(&a, BackendKind::Serial),
+            engine_order(&a, BackendKind::Serial).perm,
             expect,
             "{name}: serial backend vs classical"
         );
         for threads in thread_counts_from_env(&[1, 3]) {
             assert_eq!(
-                rcm_with_backend(&a, BackendKind::Pooled { threads }),
+                engine_order(&a, BackendKind::Pooled { threads }).perm,
                 expect,
                 "{name}: pooled backend diverged at {threads} threads"
             );
         }
         for cores in [1usize, 4, 9] {
             assert_eq!(
-                rcm_with_backend(&a, BackendKind::Dist { cores }),
+                engine_order(&a, BackendKind::Dist { cores }).perm,
                 expect,
                 "{name}: dist backend diverged on {cores} ranks"
             );
         }
         for (cores, threads_per_proc) in [(24usize, 6usize), (54, 6)] {
             assert_eq!(
-                rcm_with_backend(
+                engine_order(
                     &a,
                     BackendKind::Hybrid {
                         cores,
                         threads_per_proc
                     }
-                ),
+                )
+                .perm,
                 expect,
                 "{name}: hybrid backend diverged at {cores} cores x {threads_per_proc} threads"
             );
@@ -116,13 +132,13 @@ fn shared_backend_is_thread_count_independent_on_suite_classes() {
     // frontiers take the work-stealing parallel path.
     let m = distributed_rcm::graphgen::suite_matrix("ldoor").unwrap();
     let a = m.generate(m.default_scale * 0.5);
-    let (expect, _) = algebraic_rcm(&a);
+    let expect = engine_order(&a, BackendKind::Serial).perm;
     for threads in [1usize, 2, 4, 8, 16] {
-        let (got, stats) = par_rcm(&a, threads);
-        assert_eq!(got, expect, "ldoor diverged at {threads} threads");
+        let report = engine_order(&a, BackendKind::Pooled { threads });
+        assert_eq!(report.perm, expect, "ldoor diverged at {threads} threads");
         if threads > 1 {
             assert!(
-                stats.parallel_levels > 0,
+                report.parallel_levels > 0,
                 "{threads} threads never exercised the parallel pipeline"
             );
         }
@@ -136,17 +152,13 @@ fn hybrid_and_flat_share_the_data_path_at_every_scale() {
     // must be unchanged.
     let m = distributed_rcm::graphgen::suite_matrix("nd24k").unwrap();
     let a = m.generate(m.default_scale * 0.1);
-    let flat = dist_rcm(&a, &DistRcmConfig::flat_on_edison(16));
+    let flat = simulate(&a, DistRcmConfig::flat_on_edison(16));
     for threads in [2usize, 6, 12] {
         let cfg = DistRcmConfig {
-            machine: MachineModel::edison(),
             hybrid: HybridConfig::new(16 * threads, threads),
-            balance_seed: None,
-            sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::GeorgeLiu,
+            ..DistRcmConfig::flat_on_edison(16)
         };
-        let hybrid = dist_rcm(&a, &cfg);
+        let hybrid = simulate(&a, cfg);
         assert_eq!(hybrid.perm, flat.perm, "{threads} threads/proc diverged");
         assert_eq!(hybrid.grid_side, flat.grid_side);
         assert_eq!(hybrid.messages, flat.messages);
@@ -166,14 +178,10 @@ fn load_balance_permutation_keeps_quality() {
             ordering_bandwidth(&a, &p)
         };
         let cfg = DistRcmConfig {
-            machine: MachineModel::edison(),
-            hybrid: HybridConfig::new(4, 1),
             balance_seed: Some(42),
-            sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::GeorgeLiu,
+            ..DistRcmConfig::flat_on_edison(4)
         };
-        let r = dist_rcm(&a, &cfg);
+        let r = simulate(&a, cfg);
         let bw = ordering_bandwidth(&a, &r.perm);
         // Internal relabeling may shift tie-breaks; allow a modest band.
         assert!(
@@ -213,7 +221,7 @@ fn rcm_quality_direction_matches_paper() {
 #[test]
 fn permutations_are_bijections_with_reversal_symmetry() {
     for (name, a) in tiny_suite() {
-        let (cm, _) = distributed_rcm::core::cuthill_mckee(&a);
+        let cm = distributed_rcm::core::cuthill_mckee(&a);
         let rcm_p = rcm(&a);
         assert_eq!(cm.reversed(), rcm_p, "{name}: RCM must reverse CM");
         assert_eq!(

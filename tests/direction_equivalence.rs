@@ -4,10 +4,7 @@
 //! four backends — the tentpole invariant of the dual sparse/dense frontier
 //! representation.
 
-use distributed_rcm::core::{
-    algebraic_rcm_directed, dist_rcm, par_rcm_directed, rcm_with_backend_directed,
-    thread_counts_from_env, BackendKind, DistRcmConfig, ExpandDirection,
-};
+use distributed_rcm::core::thread_counts_from_env;
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
 use proptest::prelude::*;
@@ -20,6 +17,24 @@ const POLICIES: [ExpandDirection; 4] = [
     ExpandDirection::Adaptive,
     ExpandDirection::Alternating,
 ];
+
+/// `a` ordered on a fresh engine over `backend` under `policy`, starting
+/// from the environment's configuration (`RCM_START_NODE`).
+fn directed(a: &CscMatrix, backend: BackendKind, policy: ExpandDirection) -> OrderingReport {
+    let config = EngineConfig::from_env()
+        .backend(backend)
+        .direction(policy)
+        .build();
+    OrderingEngine::new(config).order(a)
+}
+
+/// The simulated configurations: flat MPI on a 2×2 process grid, and 24
+/// hybrid cores at 6 threads/process (the Edison model either way).
+const FLAT: BackendKind = BackendKind::Dist { cores: 4 };
+const HYBRID: BackendKind = BackendKind::Hybrid {
+    cores: 24,
+    threads_per_proc: 6,
+};
 
 /// Random symmetric graph from a seed: n vertices, ~avg_deg·n/2 edges.
 fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
@@ -39,7 +54,7 @@ fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
 /// ordering on `a`. The pooled sweep honors `RCM_THREADS` so CI exercises
 /// it at several thread counts.
 fn assert_all_directions_agree(name: &str, a: &CscMatrix) {
-    let expect = rcm_with_backend_directed(a, BackendKind::Serial, ExpandDirection::Push);
+    let expect = directed(a, BackendKind::Serial, ExpandDirection::Push).perm;
     for policy in POLICIES {
         let mut kinds = vec![BackendKind::Serial];
         kinds.extend(
@@ -47,14 +62,11 @@ fn assert_all_directions_agree(name: &str, a: &CscMatrix) {
                 .into_iter()
                 .map(|threads| BackendKind::Pooled { threads }),
         );
-        kinds.push(BackendKind::Dist { cores: 4 });
-        kinds.push(BackendKind::Hybrid {
-            cores: 24,
-            threads_per_proc: 6,
-        });
+        kinds.push(FLAT);
+        kinds.push(HYBRID);
         for kind in kinds {
             assert_eq!(
-                rcm_with_backend_directed(a, kind, policy),
+                directed(a, kind, policy).perm,
                 expect,
                 "{name}: {} backend diverged under {} policy",
                 kind.name(),
@@ -76,11 +88,11 @@ proptest! {
         n in 2usize..100, deg in 1usize..8, seed in 0u64..500
     ) {
         let a = random_graph(n, deg, seed);
-        let serial_push =
-            rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+        let serial_push = directed(&a, BackendKind::Serial, ExpandDirection::Push).perm;
         for policy in POLICIES {
-            let (serial, sstats) = algebraic_rcm_directed(&a, policy);
-            prop_assert_eq!(&serial, &serial_push, "serial {} diverged", policy.name());
+            let serial = directed(&a, BackendKind::Serial, policy);
+            let sstats = &serial.stats;
+            prop_assert_eq!(&serial.perm, &serial_push, "serial {} diverged", policy.name());
             if policy == ExpandDirection::Alternating && sstats.push_expands > 0 {
                 // The whole point of the policy: both directions ran.
                 prop_assert!(
@@ -90,19 +102,17 @@ proptest! {
                 );
             }
             for threads in thread_counts_from_env(&[2]) {
-                let (pooled, _) = par_rcm_directed(&a, threads, policy);
+                let pooled = directed(&a, BackendKind::Pooled { threads }, policy).perm;
                 prop_assert_eq!(
                     &pooled, &serial_push,
                     "pooled({}) {} diverged", threads, policy.name()
                 );
             }
-            let mut cfg = DistRcmConfig::flat_on_edison(4);
-            cfg.direction = policy;
-            let dist = dist_rcm(&a, &cfg);
+            let dist = directed(&a, FLAT, policy);
+            prop_assert!(dist.sim.is_some());
             prop_assert_eq!(&dist.perm, &serial_push, "dist {} diverged", policy.name());
-            let mut hcfg = DistRcmConfig::hybrid_on_edison(24);
-            hcfg.direction = policy;
-            let hybrid = dist_rcm(&a, &hcfg);
+            let hybrid = directed(&a, HYBRID, policy);
+            prop_assert!(hybrid.sim.is_some());
             prop_assert_eq!(&hybrid.perm, &serial_push, "hybrid {} diverged", policy.name());
         }
     }
@@ -112,10 +122,10 @@ proptest! {
     #[test]
     fn forced_modes_use_their_kernel(n in 4usize..60, deg in 1usize..6, seed in 0u64..200) {
         let a = random_graph(n, deg, seed);
-        let (_, push_stats) = algebraic_rcm_directed(&a, ExpandDirection::Push);
+        let push_stats = directed(&a, BackendKind::Serial, ExpandDirection::Push).stats;
         prop_assert_eq!(push_stats.pull_expands, 0);
         prop_assert!(push_stats.push_expands > 0);
-        let (_, pull_stats) = algebraic_rcm_directed(&a, ExpandDirection::Pull);
+        let pull_stats = directed(&a, BackendKind::Serial, ExpandDirection::Pull).stats;
         prop_assert_eq!(pull_stats.push_expands, 0);
         prop_assert!(pull_stats.pull_expands > 0);
     }
@@ -195,12 +205,13 @@ fn parallel_pull_pipeline_is_bit_identical_above_the_cutover() {
         }
     }
     let a = b.build();
-    let expect = rcm_with_backend_directed(&a, BackendKind::Serial, ExpandDirection::Push);
+    let expect = directed(&a, BackendKind::Serial, ExpandDirection::Push).perm;
     for threads in thread_counts_from_env(&[2, 5, 8]) {
         for policy in [ExpandDirection::Pull, ExpandDirection::Alternating] {
-            let (got, stats) = par_rcm_directed(&a, threads, policy);
+            let report = directed(&a, BackendKind::Pooled { threads }, policy);
+            let stats = report.stats;
             assert_eq!(
-                got,
+                report.perm,
                 expect,
                 "{threads} threads diverged under {}",
                 policy.name()

@@ -8,16 +8,34 @@
 //! * flat MPI is slower than hybrid at scale (Fig. 6),
 //! * high-diameter matrices stop scaling earlier than low-diameter ones.
 
-use distributed_rcm::core::{dist_rcm, DistRcmConfig, ExpandDirection};
 use distributed_rcm::dist::Phase;
 use distributed_rcm::graphgen::suite_matrix;
+use distributed_rcm::prelude::*;
+
+/// The paper's hybrid configuration (6 threads/process) on `cores`.
+fn hybrid(cores: usize) -> EngineConfigBuilder {
+    EngineConfig::builder().dist(DistRcmConfig::hybrid_on_edison(cores))
+}
+
+/// Flat MPI on `cores`.
+fn flat(cores: usize) -> EngineConfigBuilder {
+    EngineConfig::builder().dist(DistRcmConfig::flat_on_edison(cores))
+}
+
+/// The simulated run of `a` on a fresh engine under `config`.
+fn simulate(a: &CscMatrix, config: EngineConfigBuilder) -> DistRcmResult {
+    let report = OrderingEngine::new(config.build()).order(a);
+    report
+        .sim
+        .expect("dist/hybrid orderings carry a simulated result")
+}
 
 #[test]
 fn communication_grows_and_compute_shrinks_with_cores() {
     let m = suite_matrix("Serena").unwrap();
     let a = m.generate(m.default_scale * 0.2);
-    let r24 = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(24));
-    let r216 = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(216));
+    let r24 = simulate(&a, hybrid(24));
+    let r216 = simulate(&a, hybrid(216));
     assert!(r216.breakdown.compute_total() < r24.breakdown.compute_total());
     assert!(r216.breakdown.comm_total() > r24.breakdown.comm_total());
 }
@@ -27,7 +45,7 @@ fn spmspv_communication_fraction_increases_with_cores() {
     let m = suite_matrix("ldoor").unwrap();
     let a = m.generate(m.default_scale * 0.2);
     let frac = |cores: usize| {
-        let r = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(cores));
+        let r = simulate(&a, hybrid(cores));
         let s = r.breakdown.spmspv_split();
         s.comm / s.total()
     };
@@ -49,7 +67,7 @@ fn spmspv_communication_fraction_increases_with_cores() {
 fn sorting_latency_dominates_at_high_concurrency() {
     let m = suite_matrix("ldoor").unwrap();
     let a = m.generate(m.default_scale * 0.2);
-    let r = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(4056));
+    let r = simulate(&a, hybrid(4056));
     let sort = r.breakdown.get(Phase::OrderingSort).total();
     let spmspv = r.breakdown.get(Phase::OrderingSpmspv).total();
     // Fig. 4: "SORTPERM starts to dominate on high concurrency because it
@@ -64,8 +82,8 @@ fn sorting_latency_dominates_at_high_concurrency() {
 fn flat_mpi_slower_than_hybrid_at_scale() {
     let m = suite_matrix("ldoor").unwrap();
     let a = m.generate(m.default_scale * 0.2);
-    let flat = dist_rcm(&a, &DistRcmConfig::flat_on_edison(1024));
-    let hybrid = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(1014));
+    let flat = simulate(&a, flat(1024));
+    let hybrid = simulate(&a, hybrid(1014));
     assert!(
         flat.sim_seconds > hybrid.sim_seconds * 1.5,
         "flat {:.4}s vs hybrid {:.4}s — paper reports ~5x at 4096 cores",
@@ -81,8 +99,8 @@ fn low_diameter_matrix_scales_further_than_high_diameter() {
     let gain = |name: &str| {
         let m = suite_matrix(name).unwrap();
         let a = m.generate(m.default_scale * 0.2);
-        let t216 = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(216)).sim_seconds;
-        let t1014 = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(1014)).sim_seconds;
+        let t216 = simulate(&a, hybrid(216)).sim_seconds;
+        let t1014 = simulate(&a, hybrid(1014)).sim_seconds;
         t216 / t1014
     };
     let li7 = gain("Li7Nmax6");
@@ -97,7 +115,7 @@ fn low_diameter_matrix_scales_further_than_high_diameter() {
 fn single_core_run_has_zero_communication() {
     let m = suite_matrix("nd24k").unwrap();
     let a = m.generate(m.default_scale * 0.2);
-    let r = dist_rcm(&a, &DistRcmConfig::hybrid_on_edison(1));
+    let r = simulate(&a, hybrid(1));
     assert_eq!(r.breakdown.comm_total(), 0.0);
     assert_eq!(r.messages, 0);
     assert_eq!(r.grid_side, 1);
@@ -113,12 +131,9 @@ fn speedup_at_1024_cores_is_substantial() {
     // this ratio — that effect is reported by `repro direction` instead.
     let m = suite_matrix("Li7Nmax6").unwrap();
     let a = m.generate(m.default_scale * 0.5);
-    let mut cfg1 = DistRcmConfig::hybrid_on_edison(1);
-    cfg1.direction = ExpandDirection::Push;
-    let mut cfg1014 = DistRcmConfig::hybrid_on_edison(1014);
-    cfg1014.direction = ExpandDirection::Push;
-    let t1 = dist_rcm(&a, &cfg1).sim_seconds;
-    let t1014 = dist_rcm(&a, &cfg1014).sim_seconds;
+    let push = ExpandDirection::Push;
+    let t1 = simulate(&a, hybrid(1).direction(push)).sim_seconds;
+    let t1014 = simulate(&a, hybrid(1014).direction(push)).sim_seconds;
     let speedup = t1 / t1014;
     assert!(
         speedup > 8.0,

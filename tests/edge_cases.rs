@@ -1,29 +1,34 @@
 //! Edge-case and failure-injection integration tests across the workspace:
 //! the degenerate inputs a downstream user will eventually feed every API.
 
-use distributed_rcm::core::{algebraic_rcm, dist_rcm, par_rcm, DistRcmConfig, SortMode};
-use distributed_rcm::dist::{HybridConfig, MachineModel};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::{connected_components, mm, spy};
 
+/// Flat MPI on `procs` ranks (Edison model, no load balancing).
 fn dist_cfg(procs: usize) -> DistRcmConfig {
-    DistRcmConfig {
-        machine: MachineModel::edison(),
-        hybrid: HybridConfig::new(procs, 1),
-        balance_seed: None,
-        sort_mode: SortMode::Full,
-        direction: ExpandDirection::from_env(),
-        start_node: StartNode::GeorgeLiu,
-    }
+    DistRcmConfig::flat_on_edison(procs)
+}
+
+/// The simulated run of `a` on a fresh engine under `dist`.
+fn simulate(a: &CscMatrix, dist: DistRcmConfig) -> DistRcmResult {
+    let report = OrderingEngine::new(EngineConfig::builder().dist(dist).build()).order(a);
+    report
+        .sim
+        .expect("dist/hybrid orderings carry a simulated result")
+}
+
+/// `a`'s permutation from a fresh engine on `kind`.
+fn engine_rcm(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::with_backend(kind).order(a).perm
 }
 
 #[test]
 fn empty_matrix_all_pipelines() {
     let a = CscMatrix::empty(0);
     assert_eq!(rcm(&a).len(), 0);
-    assert_eq!(algebraic_rcm(&a).0.len(), 0);
-    assert_eq!(par_rcm(&a, 4).0.len(), 0);
-    let r = dist_rcm(&a, &dist_cfg(1));
+    assert_eq!(engine_rcm(&a, BackendKind::Serial).len(), 0);
+    assert_eq!(engine_rcm(&a, BackendKind::Pooled { threads: 4 }).len(), 0);
+    let r = simulate(&a, dist_cfg(1));
     assert_eq!(r.perm.len(), 0);
     assert_eq!(r.components, 0);
 }
@@ -31,11 +36,16 @@ fn empty_matrix_all_pipelines() {
 #[test]
 fn single_vertex_all_pipelines() {
     let a = CscMatrix::empty(1);
-    for p in [rcm(&a), algebraic_rcm(&a).0, par_rcm(&a, 2).0, sloan(&a)] {
+    for p in [
+        rcm(&a),
+        engine_rcm(&a, BackendKind::Serial),
+        engine_rcm(&a, BackendKind::Pooled { threads: 2 }),
+        sloan(&a),
+    ] {
         assert_eq!(p.len(), 1);
         assert_eq!(p.new_of(0), 0);
     }
-    let r = dist_rcm(&a, &dist_cfg(4));
+    let r = simulate(&a, dist_cfg(4));
     assert_eq!(r.perm.len(), 1);
     assert_eq!(r.components, 1);
 }
@@ -43,9 +53,9 @@ fn single_vertex_all_pipelines() {
 #[test]
 fn all_isolated_vertices() {
     let a = CscMatrix::empty(9);
-    let (expect, _) = algebraic_rcm(&a);
+    let expect = engine_rcm(&a, BackendKind::Serial);
     for procs in [1usize, 4, 9] {
-        let r = dist_rcm(&a, &dist_cfg(procs));
+        let r = simulate(&a, dist_cfg(procs));
         assert_eq!(r.perm, expect, "{procs} ranks");
         assert_eq!(r.components, 9);
     }
@@ -100,8 +110,7 @@ fn self_loops_are_tolerated() {
     assert_eq!(a.nnz(), 16);
     let perm = rcm(&a);
     assert_eq!(ordering_bandwidth(&a, &perm), 1);
-    let (alg, _) = algebraic_rcm(&a);
-    assert_eq!(perm, alg);
+    assert_eq!(perm, engine_rcm(&a, BackendKind::Serial));
 }
 
 #[test]
@@ -110,7 +119,7 @@ fn two_vertex_graph() {
     b.push_sym(0, 1);
     let a = b.build();
     for procs in [1usize, 4] {
-        let r = dist_rcm(&a, &dist_cfg(procs));
+        let r = simulate(&a, dist_cfg(procs));
         assert_eq!(r.perm.len(), 2);
     }
     assert_eq!(ordering_bandwidth(&a, &rcm(&a)), 1);
@@ -125,17 +134,17 @@ fn more_ranks_than_vertices() {
         b.push_sym(v, v + 1);
     }
     let a = b.build();
-    let (expect, _) = algebraic_rcm(&a);
-    let r = dist_rcm(&a, &dist_cfg(16));
+    let expect = engine_rcm(&a, BackendKind::Serial);
+    let r = simulate(&a, dist_cfg(16));
     assert_eq!(r.perm, expect);
-    let r25 = dist_rcm(&a, &dist_cfg(25));
+    let r25 = simulate(&a, dist_cfg(25));
     assert_eq!(r25.perm, expect);
 }
 
 #[test]
 fn non_square_process_count_panics() {
     let a = CscMatrix::eye(4);
-    let result = std::panic::catch_unwind(|| dist_rcm(&a, &dist_cfg(12)));
+    let result = std::panic::catch_unwind(|| simulate(&a, dist_cfg(12)));
     assert!(result.is_err(), "12 ranks is not a square grid");
 }
 
@@ -167,7 +176,7 @@ fn components_match_driver_component_count() {
     }
     let a = b.build();
     let comps = connected_components(&a);
-    let r = dist_rcm(&a, &dist_cfg(4));
+    let r = simulate(&a, dist_cfg(4));
     assert_eq!(r.components, comps.count());
 }
 
@@ -187,8 +196,8 @@ fn sort_modes_agree_where_they_must() {
     full.sort_mode = SortMode::Full;
     let mut sample = dist_cfg(9);
     sample.sort_mode = SortMode::GeneralSamplesort;
-    let rf = dist_rcm(&a, &full);
-    let rs = dist_rcm(&a, &sample);
+    let rf = simulate(&a, full);
+    let rs = simulate(&a, sample);
     assert_eq!(rf.perm, rs.perm);
     assert!(
         rs.sim_seconds >= rf.sim_seconds,
@@ -202,7 +211,7 @@ fn sort_modes_agree_where_they_must() {
 fn level_stats_sum_to_vertex_count() {
     let m = suite_matrix("Serena").unwrap();
     let a = m.generate(m.default_scale * 0.1);
-    let r = dist_rcm(&a, &dist_cfg(4));
+    let r = simulate(&a, dist_cfg(4));
     let labeled: usize = r.level_stats.iter().map(|l| l.frontier).sum();
     // Every vertex except the per-component roots is labeled by a level.
     assert_eq!(labeled + r.components, a.n_rows());

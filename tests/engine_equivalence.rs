@@ -1,20 +1,31 @@
 //! Warm-engine reuse equivalence — the workspace-poisoning check of the
 //! `OrderingEngine` layer: one engine reused across a hostile sequence of
 //! matrices (huge → degenerate → star/path/forest → huge) must return
-//! permutations bit-identical to fresh single-shot `rcm_with_backend`
-//! calls on every backend, at every `RCM_THREADS` count and under every
-//! `RCM_DIRECTION` policy (CI sweeps both). Plus the growth-event test:
+//! permutations bit-identical to fresh single-use engines on every
+//! backend, at every `RCM_THREADS` count and under every `RCM_DIRECTION`
+//! policy and `RCM_START_NODE` strategy (CI sweeps all three; every config
+//! here starts from `EngineConfig::from_env`). Plus the growth-event test:
 //! a warm engine's install-managed buffers stop growing once it has seen
-//! its largest matrix.
+//! its largest matrix, and the check that the library's own defaults
+//! ignore the environment.
 
-use distributed_rcm::core::{
-    rcm_with_backend, thread_counts_from_env, BackendKind, EngineConfig, OrderingEngine,
-};
+use distributed_rcm::core::thread_counts_from_env;
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A configuration on `kind` under the environment's direction policy and
+/// start node.
+fn env_config(kind: BackendKind) -> EngineConfig {
+    EngineConfig::from_env().backend(kind).build()
+}
+
+/// `a`'s permutation from a fresh single-use engine.
+fn fresh(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::new(env_config(kind)).order(a).perm
+}
 
 fn grid_graph(w: usize, stride: usize) -> CscMatrix {
     let mut b = CooBuilder::new(w * w, w * w);
@@ -104,10 +115,10 @@ fn backend_kinds() -> Vec<BackendKind> {
 fn warm_engine_survives_the_hostile_sequence_on_every_backend() {
     let sequence = hostile_sequence();
     for kind in backend_kinds() {
-        let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
+        let mut engine = OrderingEngine::new(env_config(kind));
         for (name, a) in &sequence {
             let report = engine.order(a);
-            let fresh = rcm_with_backend(a, kind);
+            let fresh = fresh(a, kind);
             assert_eq!(
                 report.perm,
                 fresh,
@@ -126,7 +137,7 @@ fn warm_engine_batch_matches_single_shot_on_the_hostile_sequence() {
     let mats: Vec<CscMatrix> = hostile_sequence().into_iter().map(|(_, a)| a).collect();
     for threads in thread_counts_from_env(&[1, 2, 8]) {
         let kind = BackendKind::Pooled { threads };
-        let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
+        let mut engine = OrderingEngine::new(env_config(kind));
         // Two rounds through the same engine: batch state must not leak
         // into the next batch either.
         for round in 0..2 {
@@ -135,7 +146,7 @@ fn warm_engine_batch_matches_single_shot_on_the_hostile_sequence() {
             for (i, (a, report)) in mats.iter().zip(&reports).enumerate() {
                 assert_eq!(
                     report.perm,
-                    rcm_with_backend(a, kind),
+                    fresh(a, kind),
                     "batch slot {i} diverged at {threads} threads (round {round})"
                 );
             }
@@ -143,27 +154,39 @@ fn warm_engine_batch_matches_single_shot_on_the_hostile_sequence() {
     }
 }
 
-/// The deprecated constructors must keep building configurations identical
-/// to their builder replacements — downstream code migrating at its own
-/// pace sees no behavior change.
+/// The library reads no environment variables: whatever the CI sweep sets
+/// in `RCM_DIRECTION`/`RCM_START_NODE`, the builder and the distributed
+/// presets default to adaptive + George–Liu, and only
+/// `EngineConfig::from_env` picks the variables up.
 #[test]
-#[allow(deprecated)]
-fn deprecated_constructors_match_the_builder() {
-    let a = grid_graph(9, 4);
-    for kind in backend_kinds() {
-        let legacy = EngineConfig::new(kind);
-        let built = EngineConfig::builder().backend(kind).build();
-        assert_eq!(legacy.backend, built.backend);
-        assert_eq!(legacy.direction, built.direction);
-        assert_eq!(legacy.compress, built.compress);
-        assert!(legacy.cache.is_none());
-        let directed = EngineConfig::directed(kind, ExpandDirection::Push);
-        assert_eq!(directed.direction, ExpandDirection::Push);
-        assert_eq!(
-            OrderingEngine::new(legacy).order(&a).perm,
-            OrderingEngine::new(built).order(&a).perm
-        );
+fn builder_defaults_ignore_the_environment_and_from_env_reads_it() {
+    let built = EngineConfig::builder().build();
+    assert_eq!(built.direction, ExpandDirection::Adaptive);
+    assert_eq!(built.start_node, StartNode::GeorgeLiu);
+    for preset in [
+        DistRcmConfig::hybrid_on_edison(24),
+        DistRcmConfig::flat_on_edison(16),
+    ] {
+        assert_eq!(preset.direction, ExpandDirection::Adaptive);
+        assert_eq!(preset.start_node, StartNode::GeorgeLiu);
     }
+
+    let var = |name: &str| std::env::var(name).ok();
+    let direction = var("RCM_DIRECTION")
+        .and_then(|s| ExpandDirection::parse(&s))
+        .unwrap_or(ExpandDirection::Adaptive);
+    let start_node = var("RCM_START_NODE")
+        .and_then(|s| StartNode::parse(&s))
+        .unwrap_or(StartNode::GeorgeLiu);
+    let from_env = EngineConfig::from_env().build();
+    assert_eq!(from_env.direction, direction);
+    assert_eq!(from_env.start_node, start_node);
+    // Every other field is the builder default.
+    assert_eq!(from_env.backend, built.backend);
+    assert_eq!(from_env.compress, built.compress);
+    assert!(from_env.dist.is_none() && from_env.cache.is_none());
+    assert_eq!(from_env.batch_small_cutoff, built.batch_small_cutoff);
+    assert_eq!(from_env.split_components, built.split_components);
 }
 
 #[test]
@@ -181,7 +204,7 @@ fn warm_engine_growth_events_stop_at_the_high_water_mark() {
             .map(|threads| BackendKind::Pooled { threads }),
     );
     for kind in kinds {
-        let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
+        let mut engine = OrderingEngine::new(env_config(kind));
         engine.order(&big);
         let warm = engine.growth_events();
         assert!(warm > 0, "{}: first install must grow", kind.name());
@@ -237,10 +260,10 @@ proptest! {
         let small_b = random_graph(n / 5 + 2, deg.min(3), seed ^ 0x5A5A);
         let sequence = [&big, &small_a, &small_b, &big];
         for kind in backend_kinds() {
-            let mut engine = OrderingEngine::new(EngineConfig::builder().backend(kind).build());
+            let mut engine = OrderingEngine::new(env_config(kind));
             for (i, a) in sequence.iter().enumerate() {
                 let warm = engine.order(a).perm;
-                let fresh = rcm_with_backend(a, kind);
+                let fresh = fresh(a, kind);
                 prop_assert_eq!(
                     &warm, &fresh,
                     "{} engine diverged at step {} (n={}, deg={}, seed={})",

@@ -1,13 +1,25 @@
 //! Workspace-level property tests: random graphs through the full pipeline.
 
-use distributed_rcm::core::{
-    algebraic_rcm, dist_rcm, par_rcm, pseudo_peripheral, DistRcmConfig, SortMode,
-};
-use distributed_rcm::dist::{HybridConfig, MachineModel};
+use distributed_rcm::core::{pseudo_peripheral, rcm_globalsort};
+use distributed_rcm::dist::HybridConfig;
 use distributed_rcm::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The environment's direction policy with George–Liu start nodes — the
+/// classical `rcm` these tests compare against.
+fn george_liu() -> EngineConfigBuilder {
+    EngineConfig::from_env().start_node(StartNode::GeorgeLiu)
+}
+
+/// The simulated run of `a` on a fresh engine under `dist`.
+fn simulate(a: &CscMatrix, dist: DistRcmConfig) -> DistRcmResult {
+    let report = OrderingEngine::new(george_liu().dist(dist).build()).order(a);
+    report
+        .sim
+        .expect("dist/hybrid orderings carry a simulated result")
+}
 
 /// Random symmetric graph from a seed: n vertices, ~avg_deg·n/2 edges.
 fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
@@ -30,19 +42,13 @@ proptest! {
     fn all_implementations_agree(n in 2usize..120, deg in 1usize..8, seed in 0u64..500) {
         let a = random_graph(n, deg, seed);
         let serial = rcm(&a);
-        let (algebraic, _) = algebraic_rcm(&a);
-        let (shared, _) = par_rcm(&a, 2);
+        let order = |backend| OrderingEngine::new(george_liu().backend(backend).build()).order(&a);
+        let algebraic = order(BackendKind::Serial).perm;
+        let shared = order(BackendKind::Pooled { threads: 2 }).perm;
         prop_assert_eq!(&serial, &algebraic);
         prop_assert_eq!(&serial, &shared);
-        let cfg = DistRcmConfig {
-            machine: MachineModel::edison(),
-            hybrid: HybridConfig::new(4, 1),
-            balance_seed: None,
-            sort_mode: SortMode::Full,
-            direction: ExpandDirection::from_env(),
-            start_node: StartNode::GeorgeLiu,
-        };
-        let dist = dist_rcm(&a, &cfg);
+        let cfg = DistRcmConfig::flat_on_edison(4);
+        let dist = simulate(&a, cfg);
         prop_assert_eq!(&serial, &dist.perm);
         // The hybrid backend shares the data path; only the cost model
         // differs.
@@ -50,7 +56,7 @@ proptest! {
             hybrid: HybridConfig::new(24, 6),
             ..cfg
         };
-        let hybrid = dist_rcm(&a, &hybrid_cfg);
+        let hybrid = simulate(&a, hybrid_cfg);
         prop_assert_eq!(&serial, &hybrid.perm);
     }
 
@@ -122,15 +128,14 @@ proptest! {
         let a = random_graph(n, deg, seed);
         for mode in [SortMode::Full, SortMode::NoSort, SortMode::GlobalSortAtEnd] {
             let cfg = DistRcmConfig {
-                machine: MachineModel::edison(),
-                hybrid: HybridConfig::new(4, 1),
-                balance_seed: None,
                 sort_mode: mode,
-                direction: ExpandDirection::from_env(),
-                start_node: StartNode::GeorgeLiu,
+                ..DistRcmConfig::flat_on_edison(4)
             };
-            let r = dist_rcm(&a, &cfg);
+            let r = simulate(&a, cfg);
             prop_assert_eq!(r.perm.len(), n);
+            if mode == SortMode::GlobalSortAtEnd {
+                prop_assert_eq!(&r.perm, &rcm_globalsort(&a));
+            }
             // Bijectivity is enforced by the Permutation type; verify the
             // labeling covered every vertex by round-tripping.
             prop_assert_eq!(
@@ -151,14 +156,10 @@ proptest! {
         let mut reference = None;
         for procs in [1usize, 4, 9] {
             let cfg = DistRcmConfig {
-                machine: MachineModel::edison(),
-                hybrid: HybridConfig::new(procs, 1),
                 balance_seed: Some(7),
-                sort_mode: SortMode::Full,
-                direction: ExpandDirection::from_env(),
-                start_node: StartNode::GeorgeLiu,
+                ..DistRcmConfig::flat_on_edison(procs)
             };
-            let r = dist_rcm(&a, &cfg);
+            let r = simulate(&a, cfg);
             match &reference {
                 None => reference = Some(r.perm),
                 Some(p) => prop_assert_eq!(p, &r.perm, "grid {} diverged", procs),

@@ -1,17 +1,25 @@
 //! Service-tier equivalence: the `OrderingService` front door (queue,
 //! shards, pattern cache) must never change *what* is computed — every
-//! report's permutation is bit-identical to a fresh single-shot
-//! `rcm_with_backend` call, whether it came from a shard engine, a batch
-//! group, or the pattern cache, on all four backends, at every
-//! `RCM_THREADS` count (CI sweeps 1/2/8), and under concurrent submission
-//! from many threads.
+//! report's permutation is bit-identical to a fresh single-use engine's,
+//! whether it came from a shard engine, a batch group, or the pattern
+//! cache, on all four backends, at every `RCM_THREADS` count (CI sweeps
+//! 1/2/8; configs start from `EngineConfig::from_env`), and under
+//! concurrent submission from many threads.
 
-use distributed_rcm::core::{rcm_with_backend, thread_counts_from_env, PatternCache};
+use distributed_rcm::core::{thread_counts_from_env, PatternCache};
 use distributed_rcm::prelude::*;
 use distributed_rcm::sparse::Vidx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `a`'s permutation from a fresh single-use engine on `kind`, under the
+/// environment's direction policy and start node.
+fn fresh_perm(a: &CscMatrix, kind: BackendKind) -> Permutation {
+    OrderingEngine::new(EngineConfig::from_env().backend(kind).build())
+        .order(a)
+        .perm
+}
 
 /// Random symmetric graph from a seed: n vertices, ~avg_deg·n/2 edges.
 fn random_graph(n: usize, avg_deg: usize, seed: u64) -> CscMatrix {
@@ -78,11 +86,11 @@ fn concurrent_submits_are_deterministic_across_thread_counts() {
         .collect();
     let fresh: Vec<Permutation> = mats
         .iter()
-        .map(|a| rcm_with_backend(a, BackendKind::Serial))
+        .map(|a| fresh_perm(a, BackendKind::Serial))
         .collect();
     for threads in thread_counts_from_env(&[1, 2, 8]) {
         let config = ServiceConfig::new(
-            EngineConfig::builder()
+            EngineConfig::from_env()
                 .backend(BackendKind::Pooled { threads })
                 .build(),
         )
@@ -137,7 +145,7 @@ fn cached_permutation_is_bit_identical_on_every_backend() {
     assert_eq!(a, same_pattern);
     for kind in backend_kinds() {
         let service = OrderingService::start(ServiceConfig::new(
-            EngineConfig::builder().backend(kind).build(),
+            EngineConfig::from_env().backend(kind).build(),
         ));
         let first = service.submit(OrderingRequest::new(a.clone())).wait();
         assert_eq!(first.cache, Some(CacheOutcome::Miss));
@@ -152,7 +160,7 @@ fn cached_permutation_is_bit_identical_on_every_backend() {
             "{}: equal pattern must hit",
             kind.name()
         );
-        let fresh = rcm_with_backend(&a, kind);
+        let fresh = fresh_perm(&a, kind);
         assert_eq!(first.perm, fresh, "{}: miss path diverged", kind.name());
         assert_eq!(second.perm, fresh, "{}: cached path diverged", kind.name());
         assert_eq!(second.bandwidth_after, first.bandwidth_after);
@@ -204,12 +212,12 @@ proptest! {
         prop_assert_eq!(&a, &twin);
         for kind in backend_kinds() {
             let service = OrderingService::start(
-                ServiceConfig::new(EngineConfig::builder().backend(kind).build()).shards(1),
+                ServiceConfig::new(EngineConfig::from_env().backend(kind).build()).shards(1),
             );
             let miss = service.submit(OrderingRequest::new(a.clone())).wait();
             let hit = service.submit(OrderingRequest::new(twin.clone())).wait();
             prop_assert_eq!(hit.cache, Some(CacheOutcome::Hit));
-            let fresh = rcm_with_backend(&a, kind);
+            let fresh = fresh_perm(&a, kind);
             prop_assert_eq!(
                 &miss.perm, &fresh,
                 "{} miss diverged (n={}, deg={}, seed={})", kind.name(), n, deg, seed

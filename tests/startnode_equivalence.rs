@@ -3,9 +3,9 @@
 //! isolated vertices, star, path, forest) and produce a deterministic
 //! ordering — bit-identical across all four backends at every
 //! `RCM_THREADS` count. CI sweeps this file under
-//! `RCM_START_NODE=george-liu|bi-criteria|min-degree` (the engine default
-//! is env-derived, so the sweep exercises the env path too) and
-//! `RCM_THREADS=1,2,8`.
+//! `RCM_START_NODE=george-liu|bi-criteria|min-degree` (the strategy set
+//! includes the one `EngineConfig::from_env` selects, so the sweep
+//! exercises the env path too) and `RCM_THREADS=1,2,8`.
 
 use distributed_rcm::core::thread_counts_from_env;
 use distributed_rcm::graphgen::forest;
@@ -27,11 +27,13 @@ fn all_kinds() -> Vec<BackendKind> {
     kinds
 }
 
-/// The strategy set under test for an `n`-vertex matrix: the three
-/// env-selectable strategies plus an in-range fixed vertex and an
-/// out-of-range one (which must fall back to George–Liu, not panic).
+/// The strategy set under test for an `n`-vertex matrix: the one
+/// `RCM_START_NODE` selects, the three env-selectable strategies, and an
+/// in-range fixed vertex and an out-of-range one (which must fall back to
+/// George–Liu, not panic).
 fn strategies(n: usize) -> Vec<StartNode> {
     vec![
+        EngineConfig::from_env().build().start_node,
         StartNode::GeorgeLiu,
         StartNode::BiCriteria,
         StartNode::MinDegree,
@@ -42,7 +44,7 @@ fn strategies(n: usize) -> Vec<StartNode> {
 
 fn order_with(a: &CscMatrix, kind: BackendKind, strategy: StartNode) -> OrderingReport {
     let mut engine = OrderingEngine::new(
-        EngineConfig::builder()
+        EngineConfig::from_env()
             .backend(kind)
             .start_node(strategy)
             .build(),
